@@ -19,8 +19,11 @@ flip count via `rng.binomial`, then rejection-sampled flip positions via
 `rng.integers`.  Identical seeds therefore replay identical runs.
 
 Populations are stored as raw bitmask ints plus per-member adjacency masks
-so that one mutation costs O(flips) updates; second-objective values are
-filled in lazily where a comparison or milestone does not need them.
+so that one mutation costs O(flips) updates (`edge_repr.toggle_edges`);
+second-objective values are filled in lazily where a comparison or
+milestone does not need them.  Graph quantities come from `edge_repr`,
+fitness values from `fitness` and the child-set cost from `vertex_repr`;
+this module holds only population and search logic.
 """
 
 from __future__ import annotations
@@ -35,9 +38,18 @@ from .edge_repr import (
     adjacency,
     deficiency_set_size,
     flip_mask,
+    toggle_edges,
 )
-from .vertex_repr import VertexSolution
-from .fitness import Dominance, dominates_gsemo1, dominates_gsemo2
+from .vertex_repr import VertexSolution, child_set_cost
+from .fitness import (
+    Dominance,
+    deficiency_value,
+    depth_value,
+    dominates_gsemo1,
+    dominates_gsemo2,
+    scalar_value,
+    surplus_value,
+)
 
 ALGO_IDS = ("ea-edge", "gsemo", "gsemo1", "gsemo2", "ea-vertex")
 RNG_ID = "numpy:PCG64"
@@ -96,7 +108,7 @@ class RunRecord:
     trace: tuple = ()
 
 
-# --- shared low-level evaluation ---------------------------------------------
+# --- shared helpers ------------------------------------------------------------
 
 
 def _random_bits(rng, length: int) -> int:
@@ -104,129 +116,9 @@ def _random_bits(rng, length: int) -> int:
     return int.from_bytes(raw, "little") & ((1 << length) - 1)
 
 
-def _apply_flips(inst: Instance, adj: list[int], fm: int) -> None:
-    pairs = inst.pairs
-    while fm:
-        low = fm & -fm
-        fm ^= low
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-
-
-def _cost_nd2(inst: Instance, bits: int, adj: list[int]) -> tuple[int, int]:
-    """Tree cost plus the count of vertices farther than two hops from the
-    root (disconnected ones included)."""
-    cover = adj[0] | 1
-    probe = adj[0]
-    while probe:
-        low = probe & -probe
-        probe ^= low
-        cover |= adj[low.bit_length() - 1]
-    nd2 = inst.n + 1 - cover.bit_count()
-    cost = bits.bit_count() + (bits & inst.w2_mask).bit_count()
-    return cost, nd2
-
-
-def _edge_cost(inst: Instance, bits: int) -> int:
-    return bits.bit_count() + (bits & inst.w2_mask).bit_count()
-
-
-def _penalised(state: RunState, bits: int, adj: list[int]) -> int:
-    cost, nd2 = _cost_nd2(state.inst, bits, adj)
-    return cost + state.m2 * nd2
-
-
-def _root_component(adj: list[int]) -> int:
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        t = frontier
-        while t:
-            low = t & -t
-            t ^= low
-            nxt |= adj[low.bit_length() - 1]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
-
-
-def _components(n: int, adj: list[int]) -> tuple[int, int]:
-    """(component count, root's component as a bitmask)."""
-    comp0 = _root_component(adj)
-    ncc = 1
-    rem = ((1 << (n + 1)) - 1) & ~comp0
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            t = frontier
-            while t:
-                low = t & -t
-                t ^= low
-                nxt |= adj[low.bit_length() - 1]
-            frontier = nxt & ~comp
-            comp |= frontier
-        ncc += 1
-        rem &= ~comp
-    return ncc, comp0
-
-
-def _deficiency_value(state: RunState, bits: int, adj: list[int], exact: bool) -> int | None:
-    """Deficiency-set size plus the scaled component surplus.
-
-    Cheap paths settle the common values 0 (nothing deeper than two hops)
-    and 1 (one attachment covers everything); when the true size is >= 2 and
-    `exact` is False, returns None so callers can reject without paying for
-    the branch-and-bound search.
-    """
-    inst = state.inst
-    ncc, comp0 = _components(inst.n, adj)
-    base = state.m2 * (ncc - 1)
-    cover = adj[0] | 1
-    probe = adj[0]
-    while probe:
-        low = probe & -probe
-        probe ^= low
-        cover |= adj[low.bit_length() - 1]
-    deep = comp0 & ~cover
-    if deep == 0:
-        return base
-    nbrs = 0
-    t = deep
-    while t:
-        low = t & -t
-        t ^= low
-        nbrs |= adj[low.bit_length() - 1]
-    cands = (deep | nbrs) & ~1
-    t = cands
-    while t:
-        low = t & -t
-        t ^= low
-        if deep & ~(adj[low.bit_length() - 1] | low) == 0:
-            return base + 1
-    if not exact:
-        return None
-    return base + deficiency_set_size(inst, EdgeSolution(bits, inst.m), state.node_budget)
-
-
-def _eval_vertex(inst: Instance, bits: int) -> int:
-    n = inst.n
-    if bits == 0:
-        return 2 * n + 1
-    children = bits << 1
-    w0 = inst.root_weights
-    total = 0
-    for v in range(1, n + 1):
-        if children >> v & 1:
-            total += w0[v]
-        elif inst.n1_mask(v) & children:
-            total += 1
-        else:
-            total += 2
-    return total
+def _exact_deficiency(state: RunState, bits: int, adj: list[int]) -> int:
+    inst, node_budget = state.inst, state.node_budget
+    return deficiency_value(inst, bits, adj, lambda x: deficiency_set_size(inst, x, node_budget))
 
 
 def _note_feasible(state: RunState, cost: int) -> None:
@@ -269,7 +161,7 @@ def init_state(
     if algo == "ea-vertex":
         bits = _random_bits(state.rng, inst.n)
         state.bits = bits
-        state.f = _eval_vertex(inst, bits)
+        state.f = child_set_cost(inst, bits)
         if bits:
             _note_feasible(state, state.f)
         return state
@@ -279,17 +171,15 @@ def init_state(
     h = bits.bit_count()
     n = inst.n
     if algo == "ea-edge":
-        cost, nd2 = _cost_nd2(inst, bits, adj)
-        over = h - n if h > n else 0
         state.bits, state.adj = bits, adj
-        state.f = cost + state.m2 * (2 * nd2 + over)
+        state.f = scalar_value(inst, bits, adj)
         if state.f < state.m2:
             _note_feasible(state, state.f)
     elif algo == "gsemo":
         state.slots = {}
         state.slot_keys = []
         state.over = None
-        f = _penalised(state, bits, adj) if h == n else None
+        f = depth_value(inst, bits, adj) if h == n else None
         if h <= n:
             state.slots[h] = [bits, adj, f]
             state.slot_keys.append(h)
@@ -298,14 +188,13 @@ def init_state(
         if f is not None and f < state.m2:
             _note_feasible(state, f)
     elif algo == "gsemo1":
-        f = _penalised(state, bits, adj)
+        f = depth_value(inst, bits, adj)
         state.members = [[h, f, bits, adj]]
         if h == n and f < state.m2:
             _note_feasible(state, f)
     else:  # gsemo2
-        a = _deficiency_value(state, bits, adj, exact=True)
-        over = h - n if h > n else 0
-        f2 = _edge_cost(inst, bits) + state.m2 * over
+        a = _exact_deficiency(state, bits, adj)
+        f2 = surplus_value(inst, bits)
         state.members = [[a, f2, bits, adj]]
         if a == 0 and f2 < state.m2:
             _note_feasible(state, f2)
@@ -323,10 +212,8 @@ def _step_ea_edge(state: RunState) -> bool:
         return False
     bits = state.bits ^ fm
     adj = state.adj.copy()
-    _apply_flips(inst, adj, fm)
-    cost, nd2 = _cost_nd2(inst, bits, adj)
-    over = bits.bit_count() - inst.n
-    f = cost + state.m2 * (2 * nd2 + (over if over > 0 else 0))
+    toggle_edges(inst, adj, fm)
+    f = scalar_value(inst, bits, adj)
     if f > state.f:
         return False
     state.bits, state.adj, state.f = bits, adj, f
@@ -342,7 +229,7 @@ def _step_ea_vertex(state: RunState) -> bool:
     if fm == 0:
         return False
     bits = state.bits ^ fm
-    f = _eval_vertex(inst, bits)
+    f = child_set_cost(inst, bits)
     if f > state.f:
         return False
     state.bits, state.f = bits, f
@@ -368,7 +255,7 @@ def _step_gsemo(state: RunState) -> bool:
         return False
     bits = src_bits ^ fm
     adj = src_adj.copy()
-    _apply_flips(inst, adj, fm)
+    toggle_edges(inst, adj, fm)
     h = bits.bit_count()
 
     if h > n:
@@ -377,8 +264,8 @@ def _step_gsemo(state: RunState) -> bool:
             return False
         if h == z[0]:
             if z[3] is None:
-                z[3] = _penalised(state, z[1], z[2])
-            f = _penalised(state, bits, adj)
+                z[3] = depth_value(inst, z[1], z[2])
+            f = depth_value(inst, bits, adj)
             if f > z[3]:
                 return False
             state.over = [h, bits, adj, f]
@@ -386,7 +273,7 @@ def _step_gsemo(state: RunState) -> bool:
             state.over = [h, bits, adj, None]
         return True
 
-    f = _penalised(state, bits, adj) if h == n else None
+    f = depth_value(inst, bits, adj) if h == n else None
     if state.over is not None:
         state.over = None
         state.slots[h] = [bits, adj, f]
@@ -398,9 +285,9 @@ def _step_gsemo(state: RunState) -> bool:
             state.slot_keys.append(h)
         else:
             if entry[2] is None:
-                entry[2] = _penalised(state, entry[0], entry[1])
+                entry[2] = depth_value(inst, entry[0], entry[1])
             if f is None:
-                f = _penalised(state, bits, adj)
+                f = depth_value(inst, bits, adj)
             if f > entry[2]:
                 return False
             entry[0], entry[1], entry[2] = bits, adj, f
@@ -421,7 +308,7 @@ def _step_gsemo1(state: RunState) -> bool:
         return False
     bits = entry[2] ^ fm
     adj = entry[3].copy()
-    _apply_flips(inst, adj, fm)
+    toggle_edges(inst, adj, fm)
     h = bits.bit_count()
     if h != n and h != n + 1:
         # outside the slot pair a strictly smaller distance to n wins outright
@@ -430,7 +317,7 @@ def _step_gsemo1(state: RunState) -> bool:
             hz = z[0]
             if (hz - n if hz >= n else n - hz) < dy:
                 return False
-    f = _penalised(state, bits, adj)
+    f = depth_value(inst, bits, adj)
     y = (h, f)
     verdicts = [dominates_gsemo1(y, (z[0], z[1]), n) for z in members]
     if any(v is Dominance.DOMINATED for v in verdicts):
@@ -454,14 +341,13 @@ def _step_gsemo2(state: RunState) -> bool:
         return False
     bits = entry[2] ^ fm
     adj = entry[3].copy()
-    _apply_flips(inst, adj, fm)
-    a = _deficiency_value(state, bits, adj, exact=False)
+    toggle_edges(inst, adj, fm)
+    a = deficiency_value(inst, bits, adj)
     if a is None:
         if all(z[0] <= 1 for z in members):
             return False
-        a = _deficiency_value(state, bits, adj, exact=True)
-    over = bits.bit_count() - inst.n
-    f2 = _edge_cost(inst, bits) + state.m2 * (over if over > 0 else 0)
+        a = _exact_deficiency(state, bits, adj)
+    f2 = surplus_value(inst, bits)
     y = (a, f2)
     verdicts = [dominates_gsemo2(y, (z[0], z[1])) for z in members]
     if any(v is Dominance.DOMINATED for v in verdicts):
@@ -508,13 +394,13 @@ def population_view(state: RunState) -> tuple:
         if state.over is not None:
             z = state.over
             if z[3] is None:
-                z[3] = _penalised(state, z[1], z[2])
+                z[3] = depth_value(inst, z[1], z[2])
             return ((EdgeSolution(z[1], inst.m), (z[0], z[3])),)
         out = []
         for h in state.slot_keys:
             entry = state.slots[h]
             if entry[2] is None:
-                entry[2] = _penalised(state, entry[0], entry[1])
+                entry[2] = depth_value(inst, entry[0], entry[1])
             out.append((EdgeSolution(entry[0], inst.m), (h, entry[2])))
         return tuple(out)
     return tuple((EdgeSolution(z[2], inst.m), (z[0], z[1])) for z in state.members)
@@ -535,7 +421,7 @@ def best_feasible_cost(state: RunState) -> int | None:
         if entry is None:
             return None
         if entry[2] is None:
-            entry[2] = _penalised(state, entry[0], entry[1])
+            entry[2] = depth_value(state.inst, entry[0], entry[1])
         return entry[2] if entry[2] < m2 else None
     if algo == "gsemo1":
         for z in state.members:

@@ -20,13 +20,11 @@ from .graph_model import Instance
 from .edge_repr import (
     EdgeSolution,
     adjacency,
-    cost as edge_cost,
-    deficiency_class,
-    DeficiencyClass,
     is_feasible,
     metrics,
     single_attachment_fixes,
 )
+from .fitness import surplus_value
 
 
 class TreeError(ValueError):
@@ -308,9 +306,9 @@ def find_op7(inst: Instance, x3: EdgeSolution, partner: EdgeSolution) -> Move | 
     witnesses = single_attachment_fixes(inst, x3)
     if met.n_mid == 0 or not witnesses:
         raise ValueError("op 7 needs a tree fixable by exactly one root attachment")
-    over = partner.hamming - inst.n
-    partner_f2 = edge_cost(inst, partner) + inst.m * inst.m * (over if over > 0 else 0)
-    if edge_cost(inst, x3) > partner_f2 - 2:
+    if partner.m != inst.m:
+        raise ValueError(f"partner width {partner.m} does not match instance m={inst.m}")
+    if met.cost > surplus_value(inst, partner.bits) - 2:
         return None
     adj = adjacency(inst, x3)
     for v in sorted(witnesses, key=lambda u: (met.dist[u], u)):

@@ -6,8 +6,9 @@ Subcommands:
   oracle   print the exact optimum of an instance file
   certify  check a tree against the local-improvement certificate
 
-`certify` exits 0 when the tree is certified, 1 when an improving move
-refutes it, 2 on bad input.
+Every subcommand exits 2 on bad input (a missing or malformed file, an
+out-of-range setting), printing one `error: ...` line.  `certify` exits 0
+when the tree is certified and 1 when an improving move refutes it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .graph_model import load_instance, save_instance
 from .edge_repr import solution_from_text
 from .vertex_repr import VertexSolution, build_tree
 from .certifier import HopTree, TreeError, certify_three_halves
-from .exact_oracle import OPTIMUM_MAX_N, optimum
+from .exact_oracle import optimum
 from .instance_gen import PLANT_KINDS, planted_instance, random_instance
 from .harness import (
     ExperimentConfig,
@@ -76,11 +77,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inst = load_instance(args.instance)
-    if inst.n > OPTIMUM_MAX_N:
-        print(f"error: exact optimum needs n <= {OPTIMUM_MAX_N}, got n={inst.n}", file=sys.stderr)
-        return 2
-    best, children = optimum(inst)
+    best, children = optimum(load_instance(args.instance))
     print(f"opt {best}")
     print("children " + " ".join(str(v) for v in sorted(children)))
     return 0
@@ -88,17 +85,13 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_certify(args) -> int:
     inst = load_instance(args.instance)
-    try:
-        sol = solution_from_text(args.solution)
-        if isinstance(sol, VertexSolution):
-            if sol.bits == 0:
-                raise TreeError("empty vertex solution decodes to no tree")
-            tree = HopTree(build_tree(inst, sol))
-        else:
-            tree = HopTree.from_edge_solution(inst, sol)
-    except (ValueError, TreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sol = solution_from_text(args.solution)
+    if isinstance(sol, VertexSolution):
+        if sol.bits == 0:
+            raise TreeError("empty vertex solution decodes to no tree")
+        tree = HopTree(build_tree(inst, sol))
+    else:
+        tree = HopTree.from_edge_solution(inst, sol)
     result = certify_three_halves(inst, tree)
     print(f"{result.describe()} cost {tree.cost(inst)}")
     return 0 if result.certified else 1
@@ -118,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--target", action="append", choices=TARGET_NAMES, help="repeatable")
     p_run.add_argument("--instance", default=None, help="fixed instance file instead of (n, p1)")
     p_run.add_argument("--out", default=None, help="CSV output path")
-    p_run.add_argument("--workers", type=int, default=None, help="default: HOPTREE_WORKERS or 1")
+    p_run.add_argument("--workers", type=int, default=1, help="processes; <= 1 runs serially")
     p_run.add_argument("--trace-every", type=int, default=0)
     p_run.set_defaults(func=_cmd_run)
 
@@ -145,7 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # InstanceFormatError and TreeError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

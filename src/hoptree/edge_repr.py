@@ -8,6 +8,11 @@ spanning tree in which every vertex sits within two hops of the root.
 Distances use the sentinel n+1 for vertices not connected to the root, so
 `N_{d>i}` counts both too-deep and disconnected vertices, and
 `N_{n>=d>2}` counts only the connected-but-too-deep ones.
+
+This module is the one home of the graph kernels over vertex bitmasks:
+adjacency and its in-place flip update, components with the root's
+component, the two-hop cover, the edge cost, and the deficiency tests
+(the cheap one-attachment test and the exact branch and bound).
 """
 
 from __future__ import annotations
@@ -85,20 +90,29 @@ def solution_from_text(text: str):
 # --- adjacency and traversal over vertex bitmasks --------------------------
 
 
+def toggle_edges(inst: Instance, adj: list[int], mask: int) -> None:
+    """Flip the edges set in `mask` in the neighbour bitmasks `adj`, in place."""
+    pairs = inst.pairs
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+
+
 def adjacency(inst: Instance, x: EdgeSolution) -> list[int]:
     """Per-vertex neighbour bitmasks of the selected subgraph."""
     if x.m != inst.m:
         raise ValueError(f"solution width {x.m} does not match instance m={inst.m}")
     adj = [0] * (inst.n + 1)
-    bits = x.bits
-    pairs = inst.pairs
-    while bits:
-        low = bits & -bits
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        bits ^= low
+    toggle_edges(inst, adj, x.bits)
     return adj
+
+
+def edge_cost(inst: Instance, bits: int) -> int:
+    """Total weight of the edge set `bits`: one per edge, two per weight-2 edge."""
+    return bits.bit_count() + (bits & inst.w2_mask).bit_count()
 
 
 def _bfs_dist(n: int, adj: list[int]) -> list[int]:
@@ -127,26 +141,39 @@ def _bfs_dist(n: int, adj: list[int]) -> list[int]:
     return dist
 
 
-def component_count(n: int, adj: list[int]) -> int:
+def components(n: int, adj: list[int]) -> tuple[int, int]:
+    """(component count, the root's component as a vertex bitmask)."""
     unseen = (1 << (n + 1)) - 1
     count = 0
+    root = 0
     while unseen:
-        seed = unseen & -unseen
-        comp = seed
-        frontier = seed
+        # the lowest unseen vertex seeds the next component: the root first
+        comp = frontier = unseen & -unseen
         while frontier:
             nxt = 0
             t = frontier
             while t:
                 b = t & -t
-                nxt |= adj[b.bit_length() - 1]
                 t ^= b
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & ~comp
+            comp |= frontier
+        if not count:
+            root = comp
         unseen &= ~comp
         count += 1
-    return count
+    return count, root
+
+
+def two_hop_cover(adj: list[int]) -> int:
+    """Vertex bitmask of the root and every vertex within two hops of it."""
+    cover = adj[0] | 1
+    t = adj[0]
+    while t:
+        b = t & -t
+        t ^= b
+        cover |= adj[b.bit_length() - 1]
+    return cover
 
 
 @dataclass(frozen=True)
@@ -180,25 +207,22 @@ class EdgeMetrics:
 def metrics(inst: Instance, x: EdgeSolution) -> EdgeMetrics:
     adj = adjacency(inst, x)
     h = x.bits.bit_count()
-    cost = h + (x.bits & inst.w2_mask).bit_count()
     dist = _bfs_dist(inst.n, adj)
-    ncc = component_count(inst.n, adj)
-    return EdgeMetrics(hamming=h, cost=cost, n_cc=ncc, dist=tuple(dist))
+    ncc, _ = components(inst.n, adj)
+    return EdgeMetrics(hamming=h, cost=edge_cost(inst, x.bits), n_cc=ncc, dist=tuple(dist))
 
 
 def cost(inst: Instance, x: EdgeSolution) -> int:
     if x.m != inst.m:
         raise ValueError(f"solution width {x.m} does not match instance m={inst.m}")
-    return x.bits.bit_count() + (x.bits & inst.w2_mask).bit_count()
+    return edge_cost(inst, x.bits)
 
 
 def is_feasible(inst: Instance, x: EdgeSolution) -> bool:
     """True iff x spans every vertex within two hops of the root with n edges."""
     if x.bits.bit_count() != inst.n:
         return False
-    adj = adjacency(inst, x)
-    dist = _bfs_dist(inst.n, adj)
-    return all(d <= 2 for d in dist[1:])
+    return two_hop_cover(adjacency(inst, x)) == (1 << (inst.n + 1)) - 1
 
 
 # --- deficiency: how many root attachments repair the deep vertices --------
@@ -231,6 +255,27 @@ def _cover_candidates(n: int, adj: list[int], uncovered: int) -> list[int]:
     return out
 
 
+def cheap_deficiency_size(adj: list[int], root: int) -> int | None:
+    """The deficiency-set size when it is 0 or 1, else None.
+
+    `root` is the root's component.  Its vertices beyond two hops need
+    attachments; one attachment v suffices iff all of them lie in v's
+    closed neighbourhood, so only the neighbours of the lowest one are
+    tried.  Settles the common sizes without the exact search.
+    """
+    deep = root & ~two_hop_cover(adj)
+    if deep == 0:
+        return 0
+    low = deep & -deep
+    t = adj[low.bit_length() - 1] | low  # no root: deep vertices are not its neighbours
+    while t:
+        b = t & -t
+        t ^= b
+        if deep & ~(adj[b.bit_length() - 1] | b) == 0:
+            return 1
+    return None
+
+
 def _greedy_cover_size(adj: list[int], uncovered: int, candidates: list[int]) -> int:
     size = 0
     while uncovered:
@@ -255,12 +300,8 @@ def deficiency_set_size(inst: Instance, x: EdgeSolution, node_budget: int = 1_00
     DeficiencySearchBudget after `node_budget` search nodes.
     """
     adj = adjacency(inst, x)
-    dist = _bfs_dist(inst.n, adj)
     n = inst.n
-    U = 0
-    for v in range(1, n + 1):
-        if 2 < dist[v] <= n:
-            U |= 1 << v
+    U = components(n, adj)[1] & ~two_hop_cover(adj)
     if U == 0:
         return 0
     candidates = _cover_candidates(n, adj, U)
@@ -314,14 +355,10 @@ def deficiency_class(inst: Instance, x: EdgeSolution) -> DeficiencyClass:
     connected and fixable by a single root attachment.  Disconnected
     solutions are never ZERO or ONE.
     """
-    m = metrics(inst, x)
-    if m.n_cc != 1:
-        return DeficiencyClass.MANY
-    if m.n_mid == 0:
-        return DeficiencyClass.ZERO
-    if single_attachment_fixes(inst, x):
-        return DeficiencyClass.ONE
-    return DeficiencyClass.MANY
+    adj = adjacency(inst, x)
+    ncc, root = components(inst.n, adj)
+    size = cheap_deficiency_size(adj, root) if ncc == 1 else None
+    return DeficiencyClass.MANY if size is None else DeficiencyClass(size)
 
 
 # --- cycle-edge removal ------------------------------------------------------

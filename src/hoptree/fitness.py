@@ -12,6 +12,11 @@ Fitness values:
 * deficiency/cost vector:         (|V_d(x)| + m^2 * (N_cc(x)-1),
                                    c(x) + m^2 * max(|x|-n, 0))
 
+The search loops evaluate these on raw edge bits plus the neighbour
+bitmasks they keep up to date (`scalar_value`, `depth_value`,
+`surplus_value`, `deficiency_value`); `f_one_plus_one`, `f_m` and `f_m2`
+compute the same values from an `EdgeSolution`.
+
 Dominance verdicts are reported from the first argument's point of view.
 """
 
@@ -20,7 +25,15 @@ from __future__ import annotations
 from enum import Enum
 
 from .graph_model import Instance
-from .edge_repr import EdgeSolution, metrics, deficiency_set_size
+from .edge_repr import (
+    EdgeSolution,
+    adjacency,
+    cheap_deficiency_size,
+    components,
+    deficiency_set_size,
+    edge_cost,
+    two_hop_cover,
+)
 from . import vertex_repr
 
 
@@ -28,24 +41,54 @@ def penalty(inst: Instance) -> int:
     return inst.m * inst.m
 
 
+def scalar_value(inst: Instance, bits: int, adj: list[int]) -> int:
+    """c(x) + m^2 * (2*N_{d>2}(x) + max(|x|-n, 0))."""
+    over = bits.bit_count() - inst.n
+    deep = inst.n + 1 - two_hop_cover(adj).bit_count()
+    return edge_cost(inst, bits) + inst.m * inst.m * (2 * deep + (over if over > 0 else 0))
+
+
+def depth_value(inst: Instance, bits: int, adj: list[int]) -> int:
+    """c(x) + m^2 * N_{d>2}(x), the second objective of the weight/cost vector."""
+    deep = inst.n + 1 - two_hop_cover(adj).bit_count()
+    return edge_cost(inst, bits) + inst.m * inst.m * deep
+
+
+def surplus_value(inst: Instance, bits: int) -> int:
+    """c(x) + m^2 * max(|x|-n, 0), the second objective of the deficiency/cost vector."""
+    over = bits.bit_count() - inst.n
+    return edge_cost(inst, bits) + inst.m * inst.m * (over if over > 0 else 0)
+
+
+def deficiency_value(inst: Instance, bits: int, adj: list[int], exact_size=None) -> int | None:
+    """|V_d(x)| + m^2 * (N_cc(x)-1), the first objective of the deficiency/cost vector.
+
+    `cheap_deficiency_size` settles the common sizes |V_d(x)| of 0 and 1.
+    A larger size comes from `exact_size(x)`, normally a call to
+    `deficiency_set_size`; without `exact_size` the result is None, so a
+    caller can reject without paying for the branch-and-bound search.
+    """
+    ncc, root = components(inst.n, adj)
+    size = cheap_deficiency_size(adj, root)
+    if size is None:
+        if exact_size is None:
+            return None
+        size = exact_size(EdgeSolution(bits, inst.m))
+    return size + inst.m * inst.m * (ncc - 1)
+
+
 def f_one_plus_one(inst: Instance, x: EdgeSolution) -> int:
-    met = metrics(inst, x)
-    over = met.hamming - inst.n
-    return met.cost + penalty(inst) * (2 * met.n_d_gt(2) + (over if over > 0 else 0))
+    return scalar_value(inst, x.bits, adjacency(inst, x))
 
 
 def f_m(inst: Instance, x: EdgeSolution) -> tuple[int, int]:
-    met = metrics(inst, x)
-    return met.hamming, met.cost + penalty(inst) * met.n_d_gt(2)
+    return x.hamming, depth_value(inst, x.bits, adjacency(inst, x))
 
 
 def f_m2(inst: Instance, x: EdgeSolution, node_budget: int = 1_000_000) -> tuple[int, int]:
-    met = metrics(inst, x)
-    vd = deficiency_set_size(inst, x, node_budget=node_budget)
-    over = met.hamming - inst.n
-    f1 = vd + penalty(inst) * (met.n_cc - 1)
-    f2 = met.cost + penalty(inst) * (over if over > 0 else 0)
-    return f1, f2
+    adj = adjacency(inst, x)
+    f1 = deficiency_value(inst, x.bits, adj, lambda y: deficiency_set_size(inst, y, node_budget))
+    return f1, surplus_value(inst, x.bits)
 
 
 def f_vertex(inst: Instance, x: "vertex_repr.VertexSolution") -> int:

@@ -7,8 +7,8 @@ deterministically from the config hash, so a config replays to identical
 milestone counts on any machine.  Wall time is the only nondeterministic
 column in the emitted CSV.
 
-Worker processes: `run_grid(cfg, workers=k)` or the HOPTREE_WORKERS env var
-parallelise over trials; records always come back in trial order.
+Worker processes: `run_grid(cfg, workers=k)` parallelises over trials;
+records always come back in trial order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -160,35 +159,24 @@ class TrialRecord:
 
 
 def _run_cell(args) -> TrialRecord:
-    (
-        cfg_hash,
-        algo,
-        n,
-        p1,
-        inst_text,
-        instance_id,
-        inst_seed,
-        run_seed,
-        budget,
-        targets,
-        needs_oracle,
-        trace_every,
-    ) = args
+    """One trial; `args` is (config, its hash, fixed instance text or None,
+    instance id, instance seed, run seed)."""
+    cfg, cfg_hash, inst_text, instance_id, inst_seed, run_seed = args
     if inst_text is not None:
         inst = Instance.from_text(inst_text)
     else:
-        inst = random_instance(n, p1, inst_seed)
+        inst = random_instance(cfg.n, cfg.p1, inst_seed)
         instance_id = f"r{inst_seed:016x}"
-    opt_cost = optimum(inst)[0] if needs_oracle else None
+    opt_cost = optimum(inst)[0] if cfg.needs_oracle else None
     t0 = time.perf_counter()
     rec = run(
-        algo,
+        cfg.algo,
         inst,
         run_seed,
-        budget,
-        targets=targets,
+        cfg.budget,
+        targets=cfg.targets,
         opt_cost=opt_cost,
-        trace_every=trace_every,
+        trace_every=cfg.trace_every,
     )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     ratio = None
@@ -196,13 +184,13 @@ def _run_cell(args) -> TrialRecord:
         ratio = rec.final_cost / opt_cost
     return TrialRecord(
         config_hash=cfg_hash,
-        algo=algo,
+        algo=cfg.algo,
         n=inst.n,
         m=inst.m,
-        p1=p1,
+        p1=cfg.p1,
         instance_id=instance_id,
         seed=run_seed,
-        budget=budget,
+        budget=cfg.budget,
         eval_feasible=rec.eval_feasible,
         eval_ratio32=rec.eval_ratio32,
         eval_opt=rec.eval_opt,
@@ -214,17 +202,12 @@ def _run_cell(args) -> TrialRecord:
     )
 
 
-def worker_count(workers: int | None = None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("HOPTREE_WORKERS", "1"))
-    return max(1, workers)
-
-
-def run_grid(cfg: ExperimentConfig, workers: int | None = None) -> list[TrialRecord]:
+def run_grid(cfg: ExperimentConfig, workers: int = 1) -> list[TrialRecord]:
     """Run every trial of the config; write CSV when cfg.out is set.
 
     Deterministic apart from wall_ms.  The exact optimum is computed per
-    instance only when a target needs it.
+    instance only when a target needs it.  More than one worker runs the
+    trials on a process pool; one or fewer runs them in this process.
     """
     h = config_hash(cfg)
     inst_text = None
@@ -235,28 +218,11 @@ def run_grid(cfg: ExperimentConfig, workers: int | None = None) -> list[TrialRec
         instance_id = Path(cfg.instance_file).stem
         if cfg.needs_oracle and inst.n > OPTIMUM_MAX_N:
             raise ValueError(f"instance n={inst.n} exceeds the oracle bound {OPTIMUM_MAX_N}")
-    cells = [
-        (
-            h,
-            cfg.algo,
-            cfg.n,
-            cfg.p1,
-            inst_text,
-            instance_id,
-            inst_seed,
-            run_seed,
-            cfg.budget,
-            cfg.targets,
-            cfg.needs_oracle,
-            cfg.trace_every,
-        )
-        for inst_seed, run_seed in trial_seeds(cfg)
-    ]
-    k = worker_count(workers)
-    if k == 1 or len(cells) == 1:
+    cells = [(cfg, h, inst_text, instance_id, s, r) for s, r in trial_seeds(cfg)]
+    if workers <= 1 or len(cells) == 1:
         records = [_run_cell(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=k) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_cell, cells))
     if cfg.out is not None:
         write_csv(records, cfg.out)

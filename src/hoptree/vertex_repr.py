@@ -6,7 +6,8 @@ lowest-index weight-1 neighbour among the chosen children if one exists,
 otherwise to the lowest-index chosen child.  Any nonempty choice therefore
 decodes to a feasible two-hop spanning tree; the empty choice decodes to
 nothing and is priced at the worst-tree cost 2n + 1 so search moves away
-from it.
+from it.  `child_set_cost` prices a raw child bitmask; the vertex EA calls
+it on every offspring.
 """
 
 from __future__ import annotations
@@ -72,15 +73,24 @@ def cost(inst: Instance, x: VertexSolution) -> int:
     """Cost of the decoded tree; 2n + 1 for the empty child set."""
     if x.n != inst.n:
         raise ValueError(f"solution width {x.n} does not match instance n={inst.n}")
-    if x.bits == 0:
-        return 2 * inst.n + 1
-    children_mask = x.bits << 1
+    return child_set_cost(inst, x.bits)
+
+
+def child_set_cost(inst: Instance, bits: int) -> int:
+    """`cost` of the child set given as a raw bitmask, without validation."""
+    n = inst.n
+    if bits == 0:
+        return 2 * n + 1
+    children = bits << 1
+    w0 = inst.root_weights
     total = 0
-    for v in range(1, inst.n + 1):
-        if children_mask >> v & 1:
-            total += inst.root_weights[v]
+    for v in range(1, n + 1):
+        if children >> v & 1:
+            total += w0[v]
+        elif inst.n1_mask(v) & children:
+            total += 1
         else:
-            total += 1 if inst.n1_mask(v) & children_mask else 2
+            total += 2
     return total
 
 

@@ -127,3 +127,24 @@ def test_certify_command_rejects_bad_solutions(tmp_path, capsys, i3, solution):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--instance", "{truncated}", "--solution", "v:3:1"],
+        ["certify", "--instance", "{missing}", "--solution", "v:3:1"],
+        ["oracle", "--instance", "{truncated}"],
+        ["oracle", "--instance", "{missing}"],
+        ["run", "--algo", "ea-edge", "--n", "30", "--target", "opt"],
+    ],
+)
+def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, argv):
+    truncated = tmp_path / "truncated.txt"
+    truncated.write_text("n 3\n1 2\n")
+    paths = {"truncated": truncated, "missing": tmp_path / "missing.txt"}
+    rc = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""

@@ -9,8 +9,8 @@ from helpers import all_ones, all_twos
 from hoptree.edge_repr import (
     DeficiencyClass,
     EdgeSolution,
-    component_count,
     adjacency,
+    components,
     cost,
     deficiency_class,
     deficiency_set_size,
@@ -136,8 +136,11 @@ def test_metrics_against_reference_bfs_sampled():
 
 def test_component_count_helper(i3):
     x = path_solution(i3)
-    assert component_count(i3.n, adjacency(i3, x)) == 1
-    assert component_count(i3.n, adjacency(i3, EdgeSolution(0, i3.m))) == 4
+    assert components(i3.n, adjacency(i3, x)) == (1, 0b1111)
+    assert components(i3.n, adjacency(i3, EdgeSolution(0, i3.m))) == (4, 0b0001)
+    # the root's component is reported even when it is not the largest
+    x = EdgeSolution(sum(1 << i3.edge_index(u, v) for u, v in [(1, 2), (2, 3)]), i3.m)
+    assert components(i3.n, adjacency(i3, x)) == (2, 0b0001)
 
 
 # --- feasibility --------------------------------------------------------------

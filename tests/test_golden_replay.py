@@ -32,18 +32,20 @@ def cases() -> list[dict]:
     for algo in ALGO_IDS:
         for n in (4, 6, 8, 10):
             for inst_seed, p1 in ((1, 0.3), (2, 0.5), (3, 0.7)):
-                out.append(dict(algo=algo, n=n, p1=p1, inst_seed=inst_seed, run_seed=100 + inst_seed,
-                                budget=2_000_000, targets=list(ALL_TARGETS)))
+                out.append(dict(algo=algo, n=n, p1=p1, inst_seed=inst_seed,
+                                run_seed=100 + inst_seed, budget=2_000_000,
+                                targets=list(ALL_TARGETS)))
         for inst_seed, p1 in ((4, 0.25), (5, 0.5)):
-            out.append(dict(algo=algo, n=32, p1=p1, inst_seed=inst_seed, run_seed=200 + inst_seed,
-                            budget=20_000, targets=[]))
+            out.append(dict(algo=algo, n=32, p1=p1, inst_seed=inst_seed,
+                            run_seed=200 + inst_seed, budget=20_000, targets=[]))
     return out
 
 
 def replay(case: dict) -> dict:
     inst = random_instance(case["n"], case["p1"], case["inst_seed"])
     opt_cost = optimum(inst)[0] if case["targets"] else None
-    rec = run(case["algo"], inst, case["run_seed"], case["budget"], targets=tuple(case["targets"]), opt_cost=opt_cost)
+    rec = run(case["algo"], inst, case["run_seed"], case["budget"],
+              targets=tuple(case["targets"]), opt_cost=opt_cost)
     return {key: getattr(rec, key) for key in OUTCOME}
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from hoptree import harness
 from hoptree.graph_model import Instance, save_instance
 from hoptree.harness import (
     CSV_COLUMNS,
@@ -18,7 +19,6 @@ from hoptree.harness import (
     run_grid,
     summarize,
     trial_seeds,
-    worker_count,
     write_csv,
 )
 
@@ -247,13 +247,18 @@ def test_summarize_needs_three_sizes_for_a_fit():
 
 
 def test_worker_count_sources(monkeypatch):
-    monkeypatch.delenv("HOPTREE_WORKERS", raising=False)
-    assert worker_count() == 1
-    assert worker_count(4) == 4
-    assert worker_count(0) == 1
+    # only the argument sets the worker count: the default and anything
+    # below two run in this process, whatever the environment says
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial grid must not start a process pool")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("HOPTREE_WORKERS", "3")
-    assert worker_count() == 3
-    assert worker_count(2) == 2
+    cfg = make_config(trials=2)
+    reference = run_grid(cfg)
+    for workers in (1, 0, -4):
+        records = run_grid(cfg, workers=workers)
+        assert all(a.same_outcome(b) for a, b in zip(records, reference, strict=True))
 
 
 def test_default_budget_shapes():
