@@ -27,7 +27,8 @@ ALL_TARGETS = ("feasible", "ratio32", "opt")
 
 
 def cases() -> list[dict]:
-    """Small instances run to the optimum, plus fixed-budget runs at n = 32."""
+    """Small instances run to the optimum, fixed-budget runs at n = 32, and
+    n = 64 runs of gsemo2 to feasibility and of ea-vertex on a fixed budget."""
     out = []
     for algo in ALGO_IDS:
         for n in (4, 6, 8, 10):
@@ -38,12 +39,18 @@ def cases() -> list[dict]:
         for inst_seed, p1 in ((4, 0.25), (5, 0.5)):
             out.append(dict(algo=algo, n=32, p1=p1, inst_seed=inst_seed,
                             run_seed=200 + inst_seed, budget=20_000, targets=[]))
+    for inst_seed in (6, 7):
+        out.append(dict(algo="gsemo2", n=64, p1=0.5, inst_seed=inst_seed,
+                        run_seed=300 + inst_seed, budget=2_000_000, targets=["feasible"]))
+        out.append(dict(algo="ea-vertex", n=64, p1=0.5, inst_seed=inst_seed,
+                        run_seed=300 + inst_seed, budget=20_000, targets=[]))
     return out
 
 
 def replay(case: dict) -> dict:
     inst = random_instance(case["n"], case["p1"], case["inst_seed"])
-    opt_cost = optimum(inst)[0] if case["targets"] else None
+    needs_opt = any(t in ("ratio32", "opt") for t in case["targets"])
+    opt_cost = optimum(inst)[0] if needs_opt else None
     rec = run(case["algo"], inst, case["run_seed"], case["budget"],
               targets=tuple(case["targets"]), opt_cost=opt_cost)
     return {key: getattr(rec, key) for key in OUTCOME}
