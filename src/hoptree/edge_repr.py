@@ -11,8 +11,10 @@ Distances use the sentinel n+1 for vertices not connected to the root, so
 
 This module is the one home of the graph kernels over vertex bitmasks:
 adjacency and its in-place flip update, components with the root's
-component, the two-hop cover, the edge cost, and the deficiency tests
-(the cheap one-attachment test and the exact branch and bound).
+component, the root's component alone grown out from its two-hop cover
+(`root_component`; it and `components` share one growth loop), the
+two-hop cover, the edge cost, and the deficiency tests (the cheap
+one-attachment test and the exact branch and bound).
 """
 
 from __future__ import annotations
@@ -141,6 +143,24 @@ def _bfs_dist(n: int, adj: list[int]) -> list[int]:
     return dist
 
 
+def _grow(adj: list[int], comp: int, frontier: int) -> int:
+    """Close the vertex set `comp` under adjacency, expanding from `frontier`.
+
+    Every vertex of `comp` whose neighbours may lie outside it must be in
+    `frontier`; the result is the union of the components `comp` touches.
+    """
+    while frontier:
+        nxt = 0
+        t = frontier
+        while t:
+            b = t & -t
+            t ^= b
+            nxt |= adj[b.bit_length() - 1]
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp
+
+
 def components(n: int, adj: list[int]) -> tuple[int, int]:
     """(component count, the root's component as a vertex bitmask)."""
     unseen = (1 << (n + 1)) - 1
@@ -148,21 +168,31 @@ def components(n: int, adj: list[int]) -> tuple[int, int]:
     root = 0
     while unseen:
         # the lowest unseen vertex seeds the next component: the root first
-        comp = frontier = unseen & -unseen
-        while frontier:
-            nxt = 0
-            t = frontier
-            while t:
-                b = t & -t
-                t ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & ~comp
-            comp |= frontier
+        seed = unseen & -unseen
+        comp = _grow(adj, seed, seed)
         if not count:
             root = comp
         unseen &= ~comp
         count += 1
     return count, root
+
+
+def root_component(adj: list[int], cover: int) -> int:
+    """The root's component, grown out from its two-hop cover `cover`.
+
+    The cover is closed out to two hops, so the growth starts from the
+    vertices outside it that touch it (the ones at distance three).  Near
+    feasibility those are few, and the scan over the vertices outside the
+    cover is short.
+    """
+    frontier = 0
+    t = ((1 << len(adj)) - 1) & ~cover
+    while t:
+        b = t & -t
+        t ^= b
+        if adj[b.bit_length() - 1] & cover:
+            frontier |= b
+    return _grow(adj, cover | frontier, frontier)
 
 
 def two_hop_cover(adj: list[int]) -> int:
@@ -255,15 +285,16 @@ def _cover_candidates(n: int, adj: list[int], uncovered: int) -> list[int]:
     return out
 
 
-def cheap_deficiency_size(adj: list[int], root: int) -> int | None:
+def cheap_deficiency_size(adj: list[int], root: int, cover: int) -> int | None:
     """The deficiency-set size when it is 0 or 1, else None.
 
-    `root` is the root's component.  Its vertices beyond two hops need
+    `root` is the root's component and `cover` its two-hop cover
+    (`two_hop_cover(adj)`).  The vertices of `root` beyond two hops need
     attachments; one attachment v suffices iff all of them lie in v's
     closed neighbourhood, so only the neighbours of the lowest one are
     tried.  Settles the common sizes without the exact search.
     """
-    deep = root & ~two_hop_cover(adj)
+    deep = root & ~cover
     if deep == 0:
         return 0
     low = deep & -deep
@@ -301,7 +332,8 @@ def deficiency_set_size(inst: Instance, x: EdgeSolution, node_budget: int = 1_00
     """
     adj = adjacency(inst, x)
     n = inst.n
-    U = components(n, adj)[1] & ~two_hop_cover(adj)
+    cover = two_hop_cover(adj)
+    U = root_component(adj, cover) & ~cover
     if U == 0:
         return 0
     candidates = _cover_candidates(n, adj, U)
@@ -356,8 +388,10 @@ def deficiency_class(inst: Instance, x: EdgeSolution) -> DeficiencyClass:
     solutions are never ZERO or ONE.
     """
     adj = adjacency(inst, x)
-    ncc, root = components(inst.n, adj)
-    size = cheap_deficiency_size(adj, root) if ncc == 1 else None
+    cover = two_hop_cover(adj)
+    root = root_component(adj, cover)
+    connected = root == (1 << (inst.n + 1)) - 1
+    size = cheap_deficiency_size(adj, root, cover) if connected else None
     return DeficiencyClass.MANY if size is None else DeficiencyClass(size)
 
 

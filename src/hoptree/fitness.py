@@ -17,6 +17,12 @@ bitmasks they keep up to date (`scalar_value`, `depth_value`,
 `surplus_value`, `deficiency_value`); `f_one_plus_one`, `f_m` and `f_m2`
 compute the same values from an `EdgeSolution`.
 
+`deficiency_value` is exact only when given an `exact_size` search.
+Without one it returns the deficiency value when that is 0 or 1 and None
+when it is larger (a deficiency set of two or more, or a disconnected
+subgraph), which is all gsemo2's dominance needs once every member sits at
+0 or 1.
+
 Dominance verdicts are reported from the first argument's point of view.
 """
 
@@ -32,6 +38,7 @@ from .edge_repr import (
     components,
     deficiency_set_size,
     edge_cost,
+    root_component,
     two_hop_cover,
 )
 from . import vertex_repr
@@ -63,18 +70,32 @@ def surplus_value(inst: Instance, bits: int) -> int:
 def deficiency_value(inst: Instance, bits: int, adj: list[int], exact_size=None) -> int | None:
     """|V_d(x)| + m^2 * (N_cc(x)-1), the first objective of the deficiency/cost vector.
 
-    `cheap_deficiency_size` settles the common sizes |V_d(x)| of 0 and 1.
-    A larger size comes from `exact_size(x)`, normally a call to
-    `deficiency_set_size`; without `exact_size` the result is None, so a
-    caller can reject without paying for the branch-and-bound search.
+    With `exact_size` (normally a call to `deficiency_set_size`) the result
+    is always the value.  Without it the result is the value when that is 0
+    or 1, and None when it is larger, so a caller can reject without paying
+    for the branch-and-bound search or for counting components.
+
+    The work stops as early as the answer allows: a full two-hop cover gives
+    0; otherwise the root's component is grown out from the cover, and a
+    connected x takes the cheap one-attachment test.  A disconnected x has
+    a value of at least m^2 > 1, so its components are counted only when
+    `exact_size` asks for the exact value.
     """
-    ncc, root = components(inst.n, adj)
-    size = cheap_deficiency_size(adj, root)
+    full = (1 << (inst.n + 1)) - 1
+    cover = two_hop_cover(adj)
+    if cover == full:
+        return 0
+    root = root_component(adj, cover)
+    if root != full and exact_size is None:
+        return None
+    size = cheap_deficiency_size(adj, root, cover)
     if size is None:
         if exact_size is None:
             return None
         size = exact_size(EdgeSolution(bits, inst.m))
-    return size + inst.m * inst.m * (ncc - 1)
+    if root == full:
+        return size
+    return size + inst.m * inst.m * (components(inst.n, adj)[0] - 1)
 
 
 def f_one_plus_one(inst: Instance, x: EdgeSolution) -> int:

@@ -7,7 +7,9 @@ otherwise to the lowest-index chosen child.  Any nonempty choice therefore
 decodes to a feasible two-hop spanning tree; the empty choice decodes to
 nothing and is priced at the worst-tree cost 2n + 1 so search moves away
 from it.  `child_set_cost` prices a raw child bitmask; the vertex EA calls
-it on every offspring.
+it on every offspring.  It works on whole bitmasks: with C the child mask
+and reach the union of the children's weight-1 neighbourhoods, the cost is
+|C| + |C \\ n1_mask(0)| + 2(n - |C|) - |reach \\ C \\ {0}|.
 """
 
 from __future__ import annotations
@@ -77,21 +79,33 @@ def cost(inst: Instance, x: VertexSolution) -> int:
 
 
 def child_set_cost(inst: Instance, bits: int) -> int:
-    """`cost` of the child set given as a raw bitmask, without validation."""
+    """`cost` of the child set given as a raw bitmask, without validation.
+
+    With C the children as a vertex mask (`bits << 1`), k = |C| and reach
+    the union of the weight-1 neighbourhoods `n1_mask(c)` over c in C:
+
+        cost = k + |C \\ n1_mask(0)| + 2(n - k) - |reach \\ C \\ {0}|
+
+    Each child pays its root edge (one, plus one if that edge has weight
+    2); each other vertex pays 2, less 1 if it has a weight-1 edge to some
+    child.  That is |C| ORs and three popcounts instead of a loop over all
+    n vertices.
+    """
     n = inst.n
     if bits == 0:
         return 2 * n + 1
     children = bits << 1
-    w0 = inst.root_weights
-    total = 0
-    for v in range(1, n + 1):
-        if children >> v & 1:
-            total += w0[v]
-        elif inst.n1_mask(v) & children:
-            total += 1
-        else:
-            total += 2
-    return total
+    n1_mask = inst.n1_mask
+    reach = 0
+    t = children
+    while t:
+        b = t & -t
+        t ^= b
+        reach |= n1_mask(b.bit_length() - 1)
+    k = bits.bit_count()
+    heavy = (children & ~n1_mask(0)).bit_count()
+    near = (reach & ~children & ~1).bit_count()
+    return k + heavy + 2 * (n - k) - near
 
 
 def to_edge_solution(inst: Instance, x: VertexSolution) -> EdgeSolution:

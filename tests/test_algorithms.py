@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import all_twos
+from hoptree import algorithms, edge_repr, fitness
 from hoptree.algorithms import (
     ALGO_IDS,
     MAX_BUDGET,
@@ -201,6 +202,31 @@ def test_gsemo2_computes_exact_deficiency_when_needed():
     state.rng = ScriptRng([1, missing])
     assert step(state) is True
     assert [tuple(z[:2]) for z in state.members] == [(2, 12)]
+
+
+def test_gsemo2_rejects_a_disconnected_offspring_without_counting_components(monkeypatch):
+    inst = all_twos(4)
+
+    def edge_bits(*edges):
+        return sum(1 << inst.edge_index(u, v) for u, v in edges)
+
+    state = fresh_state("gsemo2", inst)
+    star = put_edge_member(state, inst, edge_bits((0, 1), (0, 2), (0, 3), (0, 4)))
+    deep = put_edge_member(state, inst, edge_bits((0, 1), (1, 2), (2, 3), (0, 4)))
+    state.members = [[0, 8, *star], [1, 8, *deep]]
+    state.rng = ScriptRng([0, 1, inst.edge_index(0, 4)])  # star parent; cut leaf 4
+
+    def forbidden(*args):
+        raise AssertionError("a disconnected offspring needs no component count")
+
+    monkeypatch.setattr(edge_repr, "components", forbidden)
+    monkeypatch.setattr(fitness, "components", forbidden)
+    monkeypatch.setattr(algorithms, "deficiency_set_size", forbidden)
+    # with every member at deficiency value <= 1, an offspring with a
+    # vertex cut off from the root (value >= m^2) is already dominated
+    assert step(state) is False
+    assert state.rng.exhausted()
+    assert [tuple(z[:2]) for z in state.members] == [(0, 8), (1, 8)]
 
 
 def test_gsemo_overfull_member_shrinks_back_into_slots(i3):

@@ -4,13 +4,16 @@ The search loops keep each member's neighbour bitmasks up to date under
 mutation and read components, the two-hop cover, the edge cost and the
 attachment deficiency off them.  Random edge sets and flip sequences are
 driven through those kernels and compared with the plain-graph references
-in ``helpers`` and with the adjacency rebuilt from scratch.
+in ``helpers`` and with the adjacency rebuilt from scratch.  The vertex
+EA's child-set cost is compared with the oracle's per-vertex reference and
+with the cost of the decoded tree.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from hoptree.algorithms import ALGO_IDS, init_state, population_view, step
+from hoptree.certifier import HopTree
 from hoptree.edge_repr import (
     EdgeSolution,
     adjacency,
@@ -18,12 +21,15 @@ from hoptree.edge_repr import (
     components,
     deficiency_set_size,
     edge_cost,
+    root_component,
     toggle_edges,
     two_hop_cover,
 )
+from hoptree.exact_oracle import _child_set_cost
 from hoptree.fitness import deficiency_value, f_m, f_m2, f_one_plus_one, f_vertex
 from hoptree.graph_model import Instance
 from hoptree.instance_gen import random_instance
+from hoptree.vertex_repr import VertexSolution, build_tree, child_set_cost
 
 
 @st.composite
@@ -67,9 +73,47 @@ def test_cheap_deficiency_matches_brute_force_on_connected_graphs(walk):
             continue
         size = helpers.min_root_attachments(inst, bits)
         root = (1 << (inst.n + 1)) - 1
-        assert cheap_deficiency_size(adj, root) == (size if size <= 1 else None)
+        assert cheap_deficiency_size(adj, root, two_hop_cover(adj)) == (size if size <= 1 else None)
         assert deficiency_value(inst, bits, adj) == (size if size <= 1 else None)
         assert deficiency_value(inst, bits, adj, lambda x: deficiency_set_size(inst, x)) == size
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk=flip_walks())
+def test_root_component_and_deficiency_value_on_any_graph(walk):
+    inst, bits, flips = walk
+    adj = adjacency(inst, EdgeSolution(bits, inst.m))
+    for fm in [0] + flips:
+        toggle_edges(inst, adj, fm)
+        bits ^= fm
+        dist = helpers.bfs_distances(inst, bits)
+        reached = sum(1 << v for v, d in enumerate(dist) if d <= inst.n)
+        assert root_component(adj, two_hop_cover(adj)) == reached
+        count = helpers.component_count(inst, bits)
+        assert components(inst.n, adj) == (count, reached)
+        value = helpers.min_root_attachments(inst, bits) + inst.m * inst.m * (count - 1)
+        assert deficiency_value(inst, bits, adj, lambda x: deficiency_set_size(inst, x)) == value
+        assert deficiency_value(inst, bits, adj) == (value if value <= 1 else None)
+
+
+@st.composite
+def child_sets(draw, max_n: int = 12):
+    """An instance with n <= max_n and a nonempty child set over its vertices."""
+    n = draw(st.integers(1, max_n))
+    m = n * (n + 1) // 2
+    inst = Instance(n, draw(st.lists(st.sampled_from((1, 2)), min_size=m, max_size=m)))
+    return inst, draw(st.integers(1, (1 << n) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=child_sets())
+def test_child_set_cost_matches_the_references(case):
+    inst, drawn = case
+    assert child_set_cost(inst, 0) == 2 * inst.n + 1
+    # every nonempty child set on the small instances, the drawn one on the others
+    for bits in range(1, 1 << inst.n) if inst.n <= 6 else [drawn]:
+        tree = HopTree(build_tree(inst, VertexSolution(bits, inst.n)))
+        assert child_set_cost(inst, bits) == _child_set_cost(inst, bits) == tree.cost(inst)
 
 
 _REFERENCE = {
