@@ -35,12 +35,18 @@ from .algorithms import ALGO_IDS, TARGET_NAMES
 
 def _cmd_run(args) -> int:
     targets = tuple(args.target or ())
+    n = args.n
+    if args.instance is not None:
+        # the file fixes n, which sizes the default budget and enters the config
+        n = load_instance(args.instance).n
+        if args.n != n:
+            raise ValueError(f"--n {args.n} does not match n={n} in {args.instance}")
     budget = args.budget
     if budget is None:
-        budget = default_budget(args.algo, args.n, targets)
+        budget = default_budget(args.algo, n, targets)
     cfg = ExperimentConfig(
         algo=args.algo,
-        n=args.n,
+        n=n,
         p1=args.p1,
         trials=args.trials,
         seed=args.seed,

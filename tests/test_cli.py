@@ -44,6 +44,21 @@ def test_run_command_computes_a_default_budget(capsys):
     assert "budget 2000" in capsys.readouterr().out
 
 
+def test_run_command_takes_n_from_the_instance_file(tmp_path, capsys):
+    path = tmp_path / "i40.txt"
+    assert main(["gen", "--n", "40", "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["run", "--algo", "gsemo2", "--instance", str(path), "--target", "feasible", "--trials", "1"]
+    rc = main(argv[:3] + ["--n", "2"] + argv[3:])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: --n 2 does not match n=40 in {path}\n" and captured.out == ""
+    # 100 * m * ceil(ln n) with m = 820, n = 40, as the file says
+    rc = main(argv[:3] + ["--n", "40"] + argv[3:])
+    out = capsys.readouterr().out
+    assert rc == 0 and "budget 328000  trials 1" in out and "reached 1/1" in out
+
+
 def test_run_command_rejects_unknown_algorithms(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--algo", "anneal", "--n", "4"])
