@@ -57,6 +57,7 @@ def test_kernels_follow_flip_sequences(walk):
         assert count == helpers.component_count(inst, bits)
         dist = helpers.bfs_distances(inst, bits)
         assert root == sum(1 << v for v, d in enumerate(dist) if d <= inst.n)
+        assert root_component(adj, two_hop_cover(adj)) == root
         assert inst.n + 1 - two_hop_cover(adj).bit_count() == helpers.deep_count(inst, bits)
         assert edge_cost(inst, bits) == helpers.solution_cost(inst, bits)
 
@@ -80,17 +81,13 @@ def test_cheap_deficiency_matches_brute_force_on_connected_graphs(walk):
 
 @settings(max_examples=150, deadline=None)
 @given(walk=flip_walks())
-def test_root_component_and_deficiency_value_on_any_graph(walk):
+def test_deficiency_value_on_any_graph(walk):
     inst, bits, flips = walk
     adj = adjacency(inst, EdgeSolution(bits, inst.m))
     for fm in [0] + flips:
         toggle_edges(inst, adj, fm)
         bits ^= fm
-        dist = helpers.bfs_distances(inst, bits)
-        reached = sum(1 << v for v, d in enumerate(dist) if d <= inst.n)
-        assert root_component(adj, two_hop_cover(adj)) == reached
         count = helpers.component_count(inst, bits)
-        assert components(inst.n, adj) == (count, reached)
         value = helpers.min_root_attachments(inst, bits) + inst.m * inst.m * (count - 1)
         assert deficiency_value(inst, bits, adj, lambda x: deficiency_set_size(inst, x)) == value
         assert deficiency_value(inst, bits, adj) == (value if value <= 1 else None)
