@@ -8,13 +8,20 @@ them yields a certificate.  Operations 6 and 7 are the two-step variant
 used by the deficiency-driven search: 6 trades feasibility for a cost-2
 improvement (leaving exactly one deficient attachment), 7 repairs it.
 
-All detectors scan candidate tuples in ascending index order and report the
-first match, so results are deterministic.
+The detectors work on role masks (`Roles`, bit v for vertex v) built once
+per tree in O(n): root children K, grandchildren G, root children with a
+child H, vertices whose parent edge (P2) or root edge (R2) weighs 2, and the
+weight-2-attached leaves L2 = (G | K & ~H) & P2.  Each scan walks one
+candidate mask in ascending order and tests the candidate's weight-1
+neighbourhood `n1_mask(v)` against a target mask at once, so it reports the
+same first match in ascending index order as a loop over candidate tuples.
+Moves are applied to the parent map directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_model import Instance
 from .edge_repr import (
@@ -169,97 +176,136 @@ def apply_move_edges(inst: Instance, x: EdgeSolution, move: Move) -> EdgeSolutio
 
 
 def apply_move_tree(inst: Instance, t: HopTree, move: Move) -> HopTree:
-    return HopTree.from_edge_solution(inst, apply_move_edges(inst, t.to_edge_solution(inst), move))
+    """Apply `move` to the parent map: a removed tree edge frees the vertex
+    below it, an added absent edge hangs its free endpoint.  An added edge
+    with no free endpoint re-orients the tree (operations 1-6 never do); it
+    is settled on the edge set.  A result that is not a two-hop spanning
+    tree raises TreeError."""
+    parent = list(t.parent)
+    for u, v in move.removed:
+        below = _lower_end(inst, parent, u, v)
+        if below is None:
+            raise ValueError(f"move removes absent edge ({u},{v})")
+        parent[below] = -1
+    for u, v in move.added:
+        if _lower_end(inst, parent, u, v) is not None:
+            raise ValueError(f"move adds already-present edge ({u},{v})")
+        if parent[v] == -1:
+            parent[v] = u
+        elif parent[u] == -1:
+            parent[u] = v
+        else:
+            return HopTree.from_edge_solution(inst, apply_move_edges(inst, t.to_edge_solution(inst), move))
+    return HopTree(tuple(parent))
+
+
+def _lower_end(inst: Instance, parent: list[int], u: int, v: int) -> int | None:
+    """The vertex whose parent edge is (u, v), or None if it is no tree edge."""
+    inst.edge_index(u, v)  # rejects self-loops and out-of-range pairs
+    if parent[v] == u:
+        return v
+    return u if parent[u] == v else None
 
 
 # --- operation detectors ----------------------------------------------------
 
 
-def find_op1(inst: Instance, t: HopTree) -> Move | None:
+class Roles(NamedTuple):
+    """Vertex role masks of a tree; see the module docstring."""
+
+    kids: int  # K
+    gkids: int  # G
+    parents: int  # H
+    p2: int
+    r2: int
+    l2: int
+
+
+def roles(inst: Instance, t: HopTree) -> Roles:
+    n1 = inst.n1_mask
+    below: dict[int, int] = {}  # root child -> mask of its children
+    for v, p in enumerate(t.parent):
+        if p:
+            below[p] = below.get(p, 0) | 1 << v
+    gkids = parents = p2 = 0
+    for h, c in below.items():
+        gkids |= c
+        parents |= 1 << h
+        p2 |= c & ~n1(h)
+    everyone = (1 << (t.n + 1)) - 2
+    kids = everyone & ~gkids
+    r2 = everyone & ~n1(0)
+    p2 |= kids & r2
+    return Roles(kids, gkids, parents, p2, r2, p2 & ~parents)
+
+
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _first(inst: Instance, candidates: int, targets: int, need: int = 1) -> tuple[int, int]:
+    """(v, hits): the lowest candidate v with at least `need` (1 or 2) weight-1
+    neighbours in `targets`, and that neighbour mask; (0, 0) if there is none."""
+    n1 = inst.n1_mask
+    while candidates:
+        v = _low(candidates)
+        hits = n1(v) & targets
+        if hits and (need == 1 or hits & (hits - 1)):
+            return v, hits
+        candidates &= candidates - 1
+    return 0, 0
+
+
+def find_op1(inst: Instance, t: HopTree, r: Roles | None = None) -> Move | None:
     """Grandchild with a weight-2 parent edge but a weight-1 root edge: rehang at root."""
-    for v1 in t.grandchildren():
-        p1 = t.parent[v1]
-        if inst.weight(v1, p1) == 2 and inst.weight(0, v1) == 1:
-            return Move(1, (_edge(v1, p1),), (_edge(0, v1),), -1)
-    return None
+    r = r or roles(inst, t)
+    v1 = _low(r.gkids & r.p2 & ~r.r2)
+    return None if v1 < 0 else Move(1, (_edge(v1, t.parent[v1]),), (_edge(0, v1),), -1)
 
 
-def find_op2(inst: Instance, t: HopTree) -> Move | None:
-    """Grandchild on a weight-2 edge that has a weight-1 link to some root child."""
-    kids = t.children_of_root()
-    gkids = t.grandchildren()
-    for v1 in kids:
-        for v2 in gkids:
-            p2 = t.parent[v2]
-            if p2 != v1 and inst.weight(v2, p2) == 2 and inst.weight(v1, v2) == 1:
-                return Move(2, (_edge(v2, p2),), (_edge(v1, v2),), -1)
-    return None
+def find_op2(inst: Instance, t: HopTree, r: Roles | None = None) -> Move | None:
+    """Grandchild on a weight-2 edge that has a weight-1 link to some root child
+    (never its own parent: that edge weighs 2)."""
+    r = r or roles(inst, t)
+    v1, hits = _first(inst, r.kids, r.gkids & r.p2)
+    v2 = _low(hits)
+    return Move(2, (_edge(v2, t.parent[v2]),), (_edge(v1, v2),), -1) if v1 else None
 
 
-def find_op3(inst: Instance, t: HopTree) -> Move | None:
+def find_op3(inst: Instance, t: HopTree, r: Roles | None = None) -> Move | None:
     """Childless root child on a weight-2 root edge with a weight-1 link to a sibling."""
-    kids = t.children_of_root()
-    for v1 in kids:
-        if t.has_child(v1) or inst.weight(0, v1) != 2:
-            continue
-        for v2 in kids:
-            if v2 != v1 and inst.weight(v1, v2) == 1:
-                return Move(3, (_edge(0, v1),), (_edge(v1, v2),), -1)
-    return None
+    r = r or roles(inst, t)
+    v1, hits = _first(inst, r.kids & ~r.parents & r.r2, r.kids)
+    return Move(3, (_edge(0, v1),), (_edge(v1, _low(hits)),), -1) if v1 else None
 
 
-def _leaf_roles(t: HopTree) -> tuple[int, ...]:
-    """Vertices usable as relocation targets: grandchildren or childless root children."""
-    out = []
-    for v in range(1, t.n + 1):
-        if t.parent[v] != 0 or not t.has_child(v):
-            out.append(v)
-    return tuple(out)
-
-
-def find_op4(inst: Instance, t: HopTree) -> Move | None:
+def find_op4(inst: Instance, t: HopTree, r: Roles | None = None) -> Move | None:
     """Grandchild whose parent edge matches its root edge weight, pulled up to the
     root while capturing a weight-2-attached leaf over a weight-1 link."""
-    leaves = _leaf_roles(t)
-    for v1 in t.grandchildren():
-        p1 = t.parent[v1]
-        if inst.weight(v1, p1) != inst.weight(0, v1):
-            continue
-        for v2 in leaves:
-            if v2 == v1:
-                continue
-            p2 = t.parent[v2]
-            if inst.weight(v2, p2) == 2 and inst.weight(v1, v2) == 1:
-                return Move(
-                    4,
-                    (_edge(v1, p1), _edge(v2, p2)),
-                    (_edge(0, v1), _edge(v1, v2)),
-                    -1,
-                )
-    return None
+    r = r or roles(inst, t)
+    v1, hits = _first(inst, r.gkids & ~(r.p2 ^ r.r2), r.l2)
+    if not v1:
+        return None
+    v2 = _low(hits)
+    cut = (_edge(v1, t.parent[v1]), _edge(v2, t.parent[v2]))
+    return Move(4, cut, (_edge(0, v1), _edge(v1, v2)), -1)
 
 
-def find_op5(inst: Instance, t: HopTree) -> Move | None:
+def _leaf_pair(t: HopTree, v1: int, hits: int) -> tuple[tuple, tuple]:
+    """Parent edges of the two lowest leaves in `hits`, and v1's edges to them."""
+    v2, v3 = _low(hits), _low(hits & (hits - 1))
+    return (_edge(t.parent[v2], v2), _edge(t.parent[v3], v3)), (_edge(v1, v2), _edge(v1, v3))
+
+
+def find_op5(inst: Instance, t: HopTree, r: Roles | None = None) -> Move | None:
     """Grandchild on a weight-1 edge with a weight-2 root edge that can absorb two
     weight-2-attached leaves over weight-1 links, paying the root edge once."""
-    leaves = _leaf_roles(t)
-    for v1 in t.grandchildren():
-        p1 = t.parent[v1]
-        if inst.weight(v1, p1) != 1 or inst.weight(0, v1) != 2:
-            continue
-        for i, v2 in enumerate(leaves):
-            if v2 == v1 or inst.weight(t.parent[v2], v2) != 2 or inst.weight(v1, v2) != 1:
-                continue
-            for v3 in leaves[i + 1 :]:
-                if v3 == v1 or inst.weight(t.parent[v3], v3) != 2 or inst.weight(v1, v3) != 1:
-                    continue
-                return Move(
-                    5,
-                    (_edge(v1, p1), _edge(t.parent[v2], v2), _edge(t.parent[v3], v3)),
-                    (_edge(0, v1), _edge(v1, v2), _edge(v1, v3)),
-                    -1,
-                )
-    return None
+    r = r or roles(inst, t)
+    v1, hits = _first(inst, r.gkids & ~r.p2 & r.r2, r.l2, need=2)
+    if not v1:
+        return None
+    cut, hang = _leaf_pair(t, v1, hits)
+    return Move(5, (_edge(v1, t.parent[v1]),) + cut, (_edge(0, v1),) + hang, -1)
 
 
 def find_op6(inst: Instance, t: HopTree, partner_f2: int | None = None) -> Move | None:
@@ -273,21 +319,9 @@ def find_op6(inst: Instance, t: HopTree, partner_f2: int | None = None) -> Move 
     """
     if partner_f2 is not None and partner_f2 < t.cost(inst) - 1:
         return None
-    leaves = _leaf_roles(t)
-    for v1 in t.grandchildren():
-        for i, v2 in enumerate(leaves):
-            if v2 == v1 or inst.weight(t.parent[v2], v2) != 2 or inst.weight(v1, v2) != 1:
-                continue
-            for v3 in leaves[i + 1 :]:
-                if v3 == v1 or inst.weight(t.parent[v3], v3) != 2 or inst.weight(v1, v3) != 1:
-                    continue
-                return Move(
-                    6,
-                    (_edge(t.parent[v2], v2), _edge(t.parent[v3], v3)),
-                    (_edge(v1, v2), _edge(v1, v3)),
-                    -2,
-                )
-    return None
+    r = roles(inst, t)
+    v1, hits = _first(inst, r.gkids, r.l2, need=2)
+    return Move(6, *_leaf_pair(t, v1, hits), -2) if v1 else None
 
 
 def find_op7(inst: Instance, x3: EdgeSolution, partner: EdgeSolution) -> Move | None:
@@ -335,8 +369,9 @@ _OP_SCANS = (find_op1, find_op2, find_op3, find_op4, find_op5)
 
 def certify_three_halves(inst: Instance, t: HopTree) -> CertificateResult:
     """Certify that none of operations 1-5 applies; such trees cost <= 3/2 optimum."""
+    r = roles(inst, t)
     for scan in _OP_SCANS:
-        move = scan(inst, t)
+        move = scan(inst, t, r)
         if move is not None:
             return CertificateResult(False, move)
     return CertificateResult(True, None)

@@ -56,8 +56,10 @@ class ExperimentConfig:
     """One experiment cell: algorithm x instance family x trial seeds.
 
     `instance_file` overrides the (n, p1) generator: every trial then runs
-    on that one instance (n is taken from the file).  Targets that need the
-    exact optimum are rejected for n beyond the oracle bound.
+    on that one instance, whose n must equal `n` (`run_grid` rejects a
+    mismatch, since n enters the config hash and so every run seed).
+    Targets that need the exact optimum are rejected for n beyond the
+    oracle bound.
     """
 
     algo: str
@@ -216,8 +218,8 @@ def run_grid(cfg: ExperimentConfig, workers: int = 1) -> list[TrialRecord]:
         inst = load_instance(cfg.instance_file)
         inst_text = inst.to_text()
         instance_id = Path(cfg.instance_file).stem
-        if cfg.needs_oracle and inst.n > OPTIMUM_MAX_N:
-            raise ValueError(f"instance n={inst.n} exceeds the oracle bound {OPTIMUM_MAX_N}")
+        if inst.n != cfg.n:
+            raise ValueError(f"config n={cfg.n} does not match n={inst.n} in {cfg.instance_file}")
     cells = [(cfg, h, inst_text, instance_id, s, r) for s, r in trial_seeds(cfg)]
     if workers <= 1 or len(cells) == 1:
         records = [_run_cell(c) for c in cells]

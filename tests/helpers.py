@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from hoptree.certifier import HopTree
+from hoptree.certifier import HopTree, Move, apply_move_edges
 from hoptree.graph_model import Instance
 
 
@@ -204,6 +204,156 @@ def rewrite_exists(inst: Instance, t: HopTree, op: int) -> bool:
                 return True
         return False
     raise ValueError(f"no rewrite scan for op {op}")
+
+
+# --- reference operation scans -------------------------------------------------
+#
+# The loop scans and the edge round trip that hoptree.certifier used before it
+# scanned role bitmasks, kept verbatim so the bitmask scans can be compared
+# against them move for move.
+
+
+def _edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def apply_move_tree(inst: Instance, t: HopTree, move: Move) -> HopTree:
+    return HopTree.from_edge_solution(inst, apply_move_edges(inst, t.to_edge_solution(inst), move))
+
+
+def find_op1(inst: Instance, t: HopTree) -> Move | None:
+    """Grandchild with a weight-2 parent edge but a weight-1 root edge: rehang at root."""
+    for v1 in t.grandchildren():
+        p1 = t.parent[v1]
+        if inst.weight(v1, p1) == 2 and inst.weight(0, v1) == 1:
+            return Move(1, (_edge(v1, p1),), (_edge(0, v1),), -1)
+    return None
+
+
+def find_op2(inst: Instance, t: HopTree) -> Move | None:
+    """Grandchild on a weight-2 edge that has a weight-1 link to some root child."""
+    kids = t.children_of_root()
+    gkids = t.grandchildren()
+    for v1 in kids:
+        for v2 in gkids:
+            p2 = t.parent[v2]
+            if p2 != v1 and inst.weight(v2, p2) == 2 and inst.weight(v1, v2) == 1:
+                return Move(2, (_edge(v2, p2),), (_edge(v1, v2),), -1)
+    return None
+
+
+def find_op3(inst: Instance, t: HopTree) -> Move | None:
+    """Childless root child on a weight-2 root edge with a weight-1 link to a sibling."""
+    kids = t.children_of_root()
+    for v1 in kids:
+        if t.has_child(v1) or inst.weight(0, v1) != 2:
+            continue
+        for v2 in kids:
+            if v2 != v1 and inst.weight(v1, v2) == 1:
+                return Move(3, (_edge(0, v1),), (_edge(v1, v2),), -1)
+    return None
+
+
+def _leaf_roles(t: HopTree) -> tuple[int, ...]:
+    """Vertices usable as relocation targets: grandchildren or childless root children."""
+    out = []
+    for v in range(1, t.n + 1):
+        if t.parent[v] != 0 or not t.has_child(v):
+            out.append(v)
+    return tuple(out)
+
+
+def find_op4(inst: Instance, t: HopTree) -> Move | None:
+    """Grandchild whose parent edge matches its root edge weight, pulled up to the
+    root while capturing a weight-2-attached leaf over a weight-1 link."""
+    leaves = _leaf_roles(t)
+    for v1 in t.grandchildren():
+        p1 = t.parent[v1]
+        if inst.weight(v1, p1) != inst.weight(0, v1):
+            continue
+        for v2 in leaves:
+            if v2 == v1:
+                continue
+            p2 = t.parent[v2]
+            if inst.weight(v2, p2) == 2 and inst.weight(v1, v2) == 1:
+                return Move(
+                    4,
+                    (_edge(v1, p1), _edge(v2, p2)),
+                    (_edge(0, v1), _edge(v1, v2)),
+                    -1,
+                )
+    return None
+
+
+def find_op5(inst: Instance, t: HopTree) -> Move | None:
+    """Grandchild on a weight-1 edge with a weight-2 root edge that can absorb two
+    weight-2-attached leaves over weight-1 links, paying the root edge once."""
+    leaves = _leaf_roles(t)
+    for v1 in t.grandchildren():
+        p1 = t.parent[v1]
+        if inst.weight(v1, p1) != 1 or inst.weight(0, v1) != 2:
+            continue
+        for i, v2 in enumerate(leaves):
+            if v2 == v1 or inst.weight(t.parent[v2], v2) != 2 or inst.weight(v1, v2) != 1:
+                continue
+            for v3 in leaves[i + 1 :]:
+                if v3 == v1 or inst.weight(t.parent[v3], v3) != 2 or inst.weight(v1, v3) != 1:
+                    continue
+                return Move(
+                    5,
+                    (_edge(v1, p1), _edge(t.parent[v2], v2), _edge(t.parent[v3], v3)),
+                    (_edge(0, v1), _edge(v1, v2), _edge(v1, v3)),
+                    -1,
+                )
+    return None
+
+
+def find_op6(inst: Instance, t: HopTree, partner_f2: int | None = None) -> Move | None:
+    """Hang two weight-2-attached leaves under a grandchild via weight-1 links.
+
+    Cuts cost by 2 but pushes the two leaves to depth three, leaving a tree
+    whose deficiency is exactly one attachment.  When `partner_f2` is given,
+    the move is withheld unless partner_f2 >= cost(t) - 1, mirroring the
+    population condition under which the deficiency-driven search would
+    accept the intermediate solution.
+    """
+    if partner_f2 is not None and partner_f2 < t.cost(inst) - 1:
+        return None
+    leaves = _leaf_roles(t)
+    for v1 in t.grandchildren():
+        for i, v2 in enumerate(leaves):
+            if v2 == v1 or inst.weight(t.parent[v2], v2) != 2 or inst.weight(v1, v2) != 1:
+                continue
+            for v3 in leaves[i + 1 :]:
+                if v3 == v1 or inst.weight(t.parent[v3], v3) != 2 or inst.weight(v1, v3) != 1:
+                    continue
+                return Move(
+                    6,
+                    (_edge(t.parent[v2], v2), _edge(t.parent[v3], v3)),
+                    (_edge(v1, v2), _edge(v1, v3)),
+                    -2,
+                )
+    return None
+
+
+_OP_SCANS = (find_op1, find_op2, find_op3, find_op4, find_op5)
+
+
+def certify_three_halves(inst: Instance, t: HopTree) -> Move | None:
+    """The first refuting move of operations 1-5, or None when certified."""
+    for scan in _OP_SCANS:
+        move = scan(inst, t)
+        if move is not None:
+            return move
+    return None
+
+
+def improve_until_certified(inst: Instance, t: HopTree) -> tuple[HopTree, list[Move]]:
+    applied: list[Move] = []
+    while (move := certify_three_halves(inst, t)) is not None:
+        t = apply_move_tree(inst, t, move)
+        applied.append(move)
+    return t, applied
 
 
 # --- algorithm-state structure checks -----------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from helpers import all_ones, all_twos
@@ -9,6 +10,7 @@ from hoptree.certifier import (
     CertificateResult,
     HopTree,
     Move,
+    Roles,
     TreeError,
     VertexPartition,
     apply_move_edges,
@@ -23,6 +25,7 @@ from hoptree.certifier import (
     find_op7,
     improve_until_certified,
     partition,
+    roles,
 )
 from hoptree.edge_repr import (
     DeficiencyClass,
@@ -34,7 +37,8 @@ from hoptree.edge_repr import (
 )
 from hoptree.exact_oracle import optimum
 from hoptree.graph_model import Instance
-from hoptree.vertex_repr import VertexSolution, to_edge_solution
+from hoptree.instance_gen import random_instance
+from hoptree.vertex_repr import VertexSolution, build_tree, to_edge_solution
 
 
 def make_instance(n: int, ones: list[tuple[int, int]]) -> Instance:
@@ -322,3 +326,97 @@ def test_improvement_loop_reaches_certified_ratio():
         assert certify_three_halves(inst, final).certified
         assert final.cost(inst) == start.cost(inst) - len(moves)
         assert 2 * final.cost(inst) <= 3 * optimum(inst)[0]
+
+
+# --- the bitmask scans against the loop reference -----------------------------
+#
+# helpers keeps the loop scans and the edge round trip these scans replaced;
+# every result below must match them exactly, down to the edge order.
+
+_SCANS = (find_op1, find_op2, find_op3, find_op4, find_op5)
+_REFERENCE_SCANS = (helpers.find_op1, helpers.find_op2, helpers.find_op3, helpers.find_op4, helpers.find_op5)
+
+
+@st.composite
+def instances_with_trees(draw, max_n: int = 12):
+    """A random instance at any p1 and a messy two-hop tree on it."""
+    n = draw(st.integers(2, max_n))
+    p1 = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    inst = random_instance(n, p1, seed)
+    return inst, helpers.random_tree(inst, np.random.default_rng(seed))
+
+
+def outcome(apply, inst, t, move):
+    """The tree a move application returns, or the type of what it raises."""
+    try:
+        return apply(inst, t, move)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_roles_match_their_definitions():
+    rng = np.random.default_rng(73)
+    for _ in range(100):
+        n = int(rng.integers(2, 12))
+        inst = random_instance(n, float(rng.random()), int(rng.integers(2**32)))
+        t = helpers.random_tree(inst, rng)
+        mask = lambda keep: sum(1 << v for v in range(1, n + 1) if keep(v))  # noqa: E731
+        kids = mask(lambda v: t.parent[v] == 0)
+        with_child = mask(t.has_child)
+        p2 = mask(lambda v: inst.weight(t.parent[v], v) == 2)
+        assert roles(inst, t) == Roles(
+            kids,
+            mask(lambda v: t.parent[v] != 0),
+            with_child,
+            p2,
+            mask(lambda v: inst.weight(0, v) == 2),
+            sum(1 << v for v in helpers._leaf_roles(t)) & p2,
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=instances_with_trees(), gate=st.integers(-2, 1))
+def test_scans_return_the_reference_moves(case, gate):
+    inst, t = case
+    r = roles(inst, t)
+    for scan, reference in zip(_SCANS, _REFERENCE_SCANS):
+        expected = reference(inst, t)
+        assert scan(inst, t) == expected
+        assert scan(inst, t, r) == expected
+    for partner_f2 in (None, t.cost(inst) + gate):
+        assert find_op6(inst, t, partner_f2) == helpers.find_op6(inst, t, partner_f2)
+    verdict = certify_three_halves(inst, t)
+    expected = helpers.certify_three_halves(inst, t)
+    assert verdict == CertificateResult(expected is None, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=instances_with_trees())
+def test_improvement_loop_matches_the_reference(case):
+    inst, t = case
+    assert improve_until_certified(inst, t) == helpers.improve_until_certified(inst, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=instances_with_trees(), data=st.data())
+def test_moves_on_the_parent_map_match_the_edge_round_trip(case, data):
+    inst, t = case
+    n = inst.n
+    found = [scan(inst, t) for scan in _SCANS] + [find_op6(inst, t)]
+    tree_edges = [(t.parent[v], v) for v in range(1, n + 1)]
+    vertex = st.integers(-1, n + 1)
+    edge = st.one_of(st.sampled_from(tree_edges), st.sampled_from(inst.pairs), st.tuples(vertex, vertex))
+    edges = st.lists(edge.map(lambda e: e[::-1]) | edge, max_size=3).map(tuple)
+    junk = [Move(0, data.draw(edges), data.draw(edges), 0) for _ in range(4)]
+    for move in [m for m in found if m is not None] + junk:
+        assert outcome(apply_move_tree, inst, t, move) == outcome(helpers.apply_move_tree, inst, t, move)
+
+
+def test_large_improvement_matches_the_reference():
+    inst = random_instance(256, 0.25, 20261)
+    children = int.from_bytes(np.random.default_rng(20261).bytes(32), "little")
+    start = HopTree(build_tree(inst, VertexSolution(children, 256)))
+    final, moves = improve_until_certified(inst, start)
+    assert (final, moves) == helpers.improve_until_certified(inst, start)
+    assert len(moves) > 50

@@ -137,8 +137,15 @@ def test_run_grid_rejects_oversized_instance_files(tmp_path):
     big = Instance(n, [1] * (n * (n + 1) // 2))
     path = tmp_path / "big.txt"
     save_instance(big, path)
-    cfg = make_config(n=2, targets=("opt",), instance_file=str(path))
     with pytest.raises(ValueError):
+        make_config(n=n, targets=("opt",), instance_file=str(path))
+
+
+def test_run_grid_rejects_a_config_n_that_disagrees_with_the_file(tmp_path):
+    path = tmp_path / "six.txt"
+    save_instance(Instance(6, [1] * 21), path)
+    cfg = make_config(n=5, instance_file=str(path))
+    with pytest.raises(ValueError, match="n=5 does not match n=6"):
         run_grid(cfg)
 
 
