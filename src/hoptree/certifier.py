@@ -222,6 +222,7 @@ class Roles(NamedTuple):
 
 
 def roles(inst: Instance, t: HopTree) -> Roles:
+    """The role masks of t, from its parent map and the weight-1 neighbourhoods."""
     n1 = inst.n1_mask
     below: dict[int, int] = {}  # root child -> mask of its children
     for v, p in enumerate(t.parent):

@@ -3,7 +3,9 @@
 Everything here favours clarity over speed: adjacency lives in dicts of
 sets, distances come from a queue BFS, components from union-find, and
 minima from exhaustive enumeration.  None of it shares code with the
-bitmask machinery in ``hoptree`` beyond the public data types.
+bitmask machinery in ``hoptree`` beyond the public data types, except the
+reference operation scans: the certifier's earlier loop code, which still
+applies moves through ``apply_move_edges`` and ``HopTree.from_edge_solution``.
 """
 
 from collections import deque
@@ -210,7 +212,8 @@ def rewrite_exists(inst: Instance, t: HopTree, op: int) -> bool:
 #
 # The loop scans and the edge round trip that hoptree.certifier used before it
 # scanned role bitmasks, kept verbatim so the bitmask scans can be compared
-# against them move for move.
+# against them move for move.  certify_three_halves returns the refuting move
+# (None when certified) rather than a CertificateResult.
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:

@@ -361,14 +361,15 @@ def test_roles_match_their_definitions():
         n = int(rng.integers(2, 12))
         inst = random_instance(n, float(rng.random()), int(rng.integers(2**32)))
         t = helpers.random_tree(inst, rng)
-        mask = lambda keep: sum(1 << v for v in range(1, n + 1) if keep(v))  # noqa: E731
-        kids = mask(lambda v: t.parent[v] == 0)
-        with_child = mask(t.has_child)
+
+        def mask(keep):
+            return sum(1 << v for v in range(1, n + 1) if keep(v))
+
         p2 = mask(lambda v: inst.weight(t.parent[v], v) == 2)
         assert roles(inst, t) == Roles(
-            kids,
+            mask(lambda v: t.parent[v] == 0),
             mask(lambda v: t.parent[v] != 0),
-            with_child,
+            mask(t.has_child),
             p2,
             mask(lambda v: inst.weight(0, v) == 2),
             sum(1 << v for v in helpers._leaf_roles(t)) & p2,
