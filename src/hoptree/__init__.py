@@ -1,80 +1,8 @@
 """Search heuristics and analysis tooling for two-hop spanning trees with
 weight-1/weight-2 edges: solution encodings, exact small-instance oracles, a
-3/2-approximation certificate, and a reproducible experiment harness."""
+3/2-approximation certificate, and a reproducible experiment harness.
 
-from .graph_model import Instance, InstanceFormatError, load_instance, save_instance
-from .edge_repr import (
-    DeficiencyClass,
-    DeficiencySearchBudget,
-    EdgeMetrics,
-    EdgeSolution,
-    adjacency,
-    deficiency_class,
-    deficiency_set_size,
-    is_feasible,
-    metrics,
-    mutate_edge,
-    removable_cycle_edges,
-    single_attachment_fixes,
-    solution_from_text,
-)
-from .vertex_repr import VertexSolution, build_tree, mutate_vertex
-from .fitness import (
-    Dominance,
-    dominates_gsemo,
-    dominates_gsemo1,
-    dominates_gsemo2,
-    f_m,
-    f_m2,
-    f_one_plus_one,
-    f_vertex,
-    penalty,
-)
-from .exact_oracle import BRUTE_VD_MAX_N, OPTIMUM_MAX_N, brute_metrics, brute_vd, optimum
-from .certifier import (
-    CertificateResult,
-    HopTree,
-    Move,
-    TreeError,
-    VertexPartition,
-    apply_move_edges,
-    apply_move_tree,
-    certify_three_halves,
-    find_op1,
-    find_op2,
-    find_op3,
-    find_op4,
-    find_op5,
-    find_op6,
-    find_op7,
-    improve_until_certified,
-    partition,
-)
-from .instance_gen import PLANT_KINDS, PlantError, Planted, planted_instance, random_instance
-from .algorithms import (
-    ALGO_IDS,
-    RNG_ID,
-    RunRecord,
-    RunState,
-    best_feasible_cost,
-    init_state,
-    population_view,
-    run,
-    step,
-)
-from .harness import (
-    CSV_COLUMNS,
-    ExperimentConfig,
-    MilestoneSummary,
-    SlopeFit,
-    TrialRecord,
-    config_hash,
-    default_budget,
-    format_summary,
-    read_csv,
-    run_grid,
-    summarize,
-    write_csv,
-)
+The API lives in the submodules (`hoptree.algorithms`, `hoptree.harness`,
+...); this package module re-exports nothing."""
 
 __version__ = "0.1.0"

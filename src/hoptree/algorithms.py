@@ -7,6 +7,17 @@ Algorithm ids:
   gsemo2     variant ordered by deficiency first, penalised cost second
   ea-vertex  (1+1) EA on root-children bit strings, plain tree cost
 
+Each algorithm is one `Run` subclass (`EaEdge`, `Gsemo`, `Gsemo1`,
+`Gsemo2`, `EaVertex`).  The base class owns the generator, the evaluation
+count, the milestones and the one `step()`: pick a parent, draw the flip
+mask, update the offspring's adjacency and `offer` it.  A subclass supplies
+the representation (`parent`), the fitness and acceptance rule (`offer`)
+and the inspection methods.  The constructor offers the uniform random
+initial solution to the empty population, so the initial solution and every
+offspring pass through the same acceptance code.  The module functions
+`init_state`, `step`, `population_view`, `best_feasible_cost` and
+`potential` delegate to a run.
+
 Counting: one fitness evaluation for the initial solution plus one per
 offspring; `budget` bounds the total.  Milestones (first feasible /
 ratio-3/2 / optimal evaluation index) are recorded at the moment a
@@ -28,6 +39,7 @@ this module holds only population and search logic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,38 +69,6 @@ MAX_BUDGET = 100_000_000
 TARGET_NAMES = ("feasible", "ratio32", "opt")
 
 
-class RunState:
-    """Mutable state of one in-flight run.
-
-    The population layout depends on the algorithm:
-      ea-edge / ea-vertex: `bits`, `adj` (edge only), scalar `f`
-      gsemo: `slots` maps weight -> [bits, adj, f|None] for weights <= n,
-             `slot_keys` lists occupied weights, `over` holds the single
-             above-n member [weight, bits, adj, f|None] (never both)
-      gsemo1: `members`, entries [weight, f, bits, adj]
-      gsemo2: `members`, entries [deficiency-value, penalised cost, bits, adj]
-    Use `population_view` / `best_feasible_cost` rather than poking fields.
-    """
-
-    __slots__ = (
-        "algo",
-        "inst",
-        "rng",
-        "evaluations",
-        "milestones",
-        "opt_cost",
-        "node_budget",
-        "m2",
-        "bits",
-        "adj",
-        "f",
-        "slots",
-        "slot_keys",
-        "over",
-        "members",
-    )
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """Outcome of one completed run."""
@@ -108,32 +88,308 @@ class RunRecord:
     trace: tuple = ()
 
 
-# --- shared helpers ------------------------------------------------------------
-
-
 def _random_bits(rng, length: int) -> int:
     raw = rng.bytes((length + 7) // 8)
     return int.from_bytes(raw, "little") & ((1 << length) - 1)
 
 
-def _exact_deficiency(state: RunState, bits: int, adj: list[int]) -> int:
-    inst, node_budget = state.inst, state.node_budget
-    return deficiency_value(inst, bits, adj, lambda x: deficiency_set_size(inst, x, node_budget))
+# --- one run ------------------------------------------------------------------
 
 
-def _note_feasible(state: RunState, cost: int) -> None:
-    ms = state.milestones
-    if ms["feasible"] is None:
-        ms["feasible"] = state.evaluations
-    oc = state.opt_cost
-    if oc is not None:
-        if ms["ratio32"] is None and 2 * cost <= 3 * oc:
-            ms["ratio32"] = state.evaluations
-        if ms["opt"] is None and cost == oc:
-            ms["opt"] = state.evaluations
+class Run:
+    """Mutable state of one in-flight run: the loop every algorithm shares.
+
+    A subclass holds the population and supplies `parent()` (the bits and
+    adjacency to mutate), `offer(bits, adj)` (value an offspring, accept or
+    reject it, note milestones; True iff the population changed), `view()`,
+    `best_feasible_cost()` and `potential()`.  The constructor offers the
+    initial solution to the empty population, so it takes the same
+    acceptance path as every offspring.
+    """
+
+    algo = ""
+    vertex = False
+
+    def __init__(self, inst: Instance, seed: int, opt_cost: int | None, node_budget: int):
+        if inst.n < 2:
+            raise ValueError("runs need n >= 2")
+        self.inst = inst
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.evaluations = 1
+        self.milestones = {"feasible": None, "ratio32": None, "opt": None}
+        self.opt_cost = opt_cost
+        self.node_budget = node_budget
+        self.m2 = inst.m * inst.m
+        self.length = inst.n if self.vertex else inst.m
+        bits = _random_bits(self.rng, self.length)
+        self.offer(bits, None if self.vertex else adjacency(inst, EdgeSolution(bits, inst.m)))
+
+    def step(self) -> bool:
+        """Evaluate one offspring; True iff the population changed."""
+        bits, adj = self.parent()
+        fm = flip_mask(self.length, self.rng)
+        self.evaluations += 1
+        if fm == 0:
+            return False
+        if adj is not None:
+            adj = adj.copy()
+            toggle_edges(self.inst, adj, fm)
+        return self.offer(bits ^ fm, adj)
+
+    def note_feasible(self, cost: int) -> None:
+        ms = self.milestones
+        if ms["feasible"] is None:
+            ms["feasible"] = self.evaluations
+        oc = self.opt_cost
+        if oc is not None:
+            if ms["ratio32"] is None and 2 * cost <= 3 * oc:
+                ms["ratio32"] = self.evaluations
+            if ms["opt"] is None and cost == oc:
+                ms["opt"] = self.evaluations
 
 
-# --- initialisation -----------------------------------------------------------
+class EaEdge(Run):
+    """`bits`, `adj` and the scalar penalised value `f`."""
+
+    algo = "ea-edge"
+    f = math.inf  # no member yet: the first offer is accepted
+
+    def parent(self):
+        return self.bits, self.adj
+
+    def offer(self, bits: int, adj: list[int]) -> bool:
+        f = scalar_value(self.inst, bits, adj)
+        if f > self.f:
+            return False
+        self.bits, self.adj, self.f = bits, adj, f
+        if f < self.m2:
+            self.note_feasible(f)
+        return True
+
+    def view(self) -> tuple:
+        return ((EdgeSolution(self.bits, self.inst.m), self.f),)
+
+    def best_feasible_cost(self) -> int | None:
+        return self.f if self.f < self.m2 else None
+
+    def potential(self) -> int | None:
+        return self.f // self.m2
+
+
+class EaVertex(Run):
+    """Root-children `bits` and their plain tree cost `f`."""
+
+    algo = "ea-vertex"
+    vertex = True
+    f = math.inf
+
+    def parent(self):
+        return self.bits, None
+
+    def offer(self, bits: int, adj: None) -> bool:
+        f = child_set_cost(self.inst, bits)
+        if f > self.f:
+            return False
+        self.bits, self.f = bits, f
+        if bits:
+            self.note_feasible(f)
+        return True
+
+    def view(self) -> tuple:
+        return ((VertexSolution(self.bits, self.inst.n), self.f),)
+
+    def best_feasible_cost(self) -> int | None:
+        return self.f if self.bits else None
+
+    def potential(self) -> int | None:
+        return 0 if self.bits else None
+
+
+class Gsemo(Run):
+    """Weight slots: `slots` maps weight -> [bits, adj, f|None] for weights
+    <= n, `slot_keys` lists occupied weights in arrival order, and `over`
+    holds the single above-n member [weight, bits, adj, f|None] (never both).
+    Costs are filled in lazily: only weight-n members need them at once."""
+
+    algo = "gsemo"
+
+    def __init__(self, *args):
+        self.slots: dict[int, list] = {}
+        self.slot_keys: list[int] = []
+        self.over: list | None = None
+        super().__init__(*args)
+
+    def parent(self):
+        if self.over is not None:
+            return self.over[1], self.over[2]
+        keys = self.slot_keys
+        k = keys[0] if len(keys) == 1 else keys[self.rng.integers(len(keys))]
+        entry = self.slots[k]
+        return entry[0], entry[1]
+
+    def _cost(self, entry: list) -> int:
+        """Fill in and return the lazy cost that ends a slot or `over` entry."""
+        if entry[-1] is None:
+            entry[-1] = depth_value(self.inst, entry[-3], entry[-2])
+        return entry[-1]
+
+    def offer(self, bits: int, adj: list[int]) -> bool:
+        inst = self.inst
+        n = inst.n
+        h = bits.bit_count()
+        z = self.over
+        if h > n:
+            if z is None:
+                if self.slots:
+                    return False
+                self.over = [h, bits, adj, None]
+            elif h > z[0]:
+                return False
+            elif h == z[0]:
+                f = depth_value(inst, bits, adj)
+                if f > self._cost(z):
+                    return False
+                self.over = [h, bits, adj, f]
+            else:
+                self.over = [h, bits, adj, None]
+            return True
+
+        f = depth_value(inst, bits, adj) if h == n else None
+        entry = None if z is not None else self.slots.get(h)
+        if entry is None:
+            self.over = None
+            self.slots[h] = [bits, adj, f]
+            self.slot_keys.append(h)
+        else:
+            if f is None:
+                f = depth_value(inst, bits, adj)
+            if f > self._cost(entry):
+                return False
+            entry[0], entry[1], entry[2] = bits, adj, f
+        if f is not None and f < self.m2:
+            self.note_feasible(f)
+        return True
+
+    def view(self) -> tuple:
+        m = self.inst.m
+        z = self.over
+        if z is not None:
+            return ((EdgeSolution(z[1], m), (z[0], self._cost(z))),)
+        slots = self.slots
+        return tuple((EdgeSolution(slots[h][0], m), (h, self._cost(slots[h]))) for h in self.slot_keys)
+
+    def best_feasible_cost(self) -> int | None:
+        entry = self.slots.get(self.inst.n) if self.over is None else None
+        if entry is None:
+            return None
+        f = self._cost(entry)
+        return f if f < self.m2 else None
+
+    def potential(self) -> int | None:
+        return min(f // self.m2 for _, (h, f) in self.view())
+
+
+class _Archive(Run):
+    """`members`, entries [first objective, second objective, bits, adj].
+
+    An offspring whose `value` is None is rejected without evaluating it.
+    Otherwise it is rejected when a member dominates it, and else it drops
+    the members it weakly dominates and joins the archive."""
+
+    members: list | tuple = ()  # the empty archive; `offer` builds a new list
+
+    def parent(self):
+        members = self.members
+        entry = members[0] if len(members) == 1 else members[self.rng.integers(len(members))]
+        return entry[2], entry[3]
+
+    def offer(self, bits: int, adj: list[int]) -> bool:
+        y = self.value(bits, adj)
+        if y is None:
+            return False
+        members = self.members
+        verdicts = [self.dominates(y, (z[0], z[1])) for z in members]
+        if any(v is Dominance.DOMINATED for v in verdicts):
+            return False
+        kept = [z for z, v in zip(members, verdicts) if not v.weak]
+        kept.append([y[0], y[1], bits, adj])
+        self.members = kept
+        cost = self.feasible_cost(y)
+        if cost is not None:
+            self.note_feasible(cost)
+        return True
+
+    def view(self) -> tuple:
+        m = self.inst.m
+        return tuple((EdgeSolution(z[2], m), (z[0], z[1])) for z in self.members)
+
+    def best_feasible_cost(self) -> int | None:
+        for z in self.members:
+            cost = self.feasible_cost(z)
+            if cost is not None:
+                return cost
+        return None
+
+
+class Gsemo1(_Archive):
+    """Members valued (weight, penalised cost); at most the weight-n and
+    weight-(n+1) slots survive together."""
+
+    algo = "gsemo1"
+
+    def value(self, bits: int, adj: list[int]) -> tuple[int, int] | None:
+        n = self.inst.n
+        h = bits.bit_count()
+        if h != n and h != n + 1:
+            # outside the slot pair a strictly smaller distance to n wins outright
+            dy = h - n if h > n else n - h
+            for z in self.members:
+                hz = z[0]
+                if (hz - n if hz >= n else n - hz) < dy:
+                    return None
+        return h, depth_value(self.inst, bits, adj)
+
+    def dominates(self, y, z) -> Dominance:
+        return dominates_gsemo1(y, z, self.inst.n)
+
+    def feasible_cost(self, y) -> int | None:
+        return y[1] if y[0] == self.inst.n and y[1] < self.m2 else None
+
+    def potential(self) -> int | None:
+        return min(z[1] // self.m2 for z in self.members)
+
+
+class Gsemo2(_Archive):
+    """Members valued (deficiency value, penalised cost); the exact
+    deficiency search runs only when a member could still lose to the
+    offspring, i.e. some member sits above deficiency value 1."""
+
+    algo = "gsemo2"
+
+    def value(self, bits: int, adj: list[int]) -> tuple[int, int] | None:
+        inst = self.inst
+        a = deficiency_value(inst, bits, adj)
+        if a is None:
+            if self.members and all(z[0] <= 1 for z in self.members):
+                return None
+            node_budget = self.node_budget
+            a = deficiency_value(inst, bits, adj, lambda x: deficiency_set_size(inst, x, node_budget))
+        return a, surplus_value(inst, bits)
+
+    def dominates(self, y, z) -> Dominance:
+        return dominates_gsemo2(y, z)
+
+    def feasible_cost(self, y) -> int | None:
+        return y[1] if y[0] == 0 and y[1] < self.m2 else None
+
+    def potential(self) -> int | None:
+        return min(z[0] for z in self.members)
+
+
+_RUNS = {cls.algo: cls for cls in (EaEdge, Gsemo, Gsemo1, Gsemo2, EaVertex)}
+
+
+# --- module entry points --------------------------------------------------------
 
 
 def init_state(
@@ -142,313 +398,38 @@ def init_state(
     seed: int,
     opt_cost: int | None = None,
     node_budget: int = 1_000_000,
-) -> RunState:
-    """Fresh run state with a uniform random initial solution (1 evaluation)."""
-    if algo not in ALGO_IDS:
+) -> Run:
+    """Fresh run with a uniform random initial solution (1 evaluation)."""
+    if algo not in _RUNS:
         raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGO_IDS}")
-    if inst.n < 2:
-        raise ValueError("runs need n >= 2")
-    state = RunState()
-    state.algo = algo
-    state.inst = inst
-    state.rng = np.random.Generator(np.random.PCG64(seed))
-    state.evaluations = 1
-    state.milestones = {"feasible": None, "ratio32": None, "opt": None}
-    state.opt_cost = opt_cost
-    state.node_budget = node_budget
-    state.m2 = inst.m * inst.m
-
-    if algo == "ea-vertex":
-        bits = _random_bits(state.rng, inst.n)
-        state.bits = bits
-        state.f = child_set_cost(inst, bits)
-        if bits:
-            _note_feasible(state, state.f)
-        return state
-
-    bits = _random_bits(state.rng, inst.m)
-    adj = adjacency(inst, EdgeSolution(bits, inst.m))
-    h = bits.bit_count()
-    n = inst.n
-    if algo == "ea-edge":
-        state.bits, state.adj = bits, adj
-        state.f = scalar_value(inst, bits, adj)
-        if state.f < state.m2:
-            _note_feasible(state, state.f)
-    elif algo == "gsemo":
-        state.slots = {}
-        state.slot_keys = []
-        state.over = None
-        f = depth_value(inst, bits, adj) if h == n else None
-        if h <= n:
-            state.slots[h] = [bits, adj, f]
-            state.slot_keys.append(h)
-        else:
-            state.over = [h, bits, adj, None]
-        if f is not None and f < state.m2:
-            _note_feasible(state, f)
-    elif algo == "gsemo1":
-        f = depth_value(inst, bits, adj)
-        state.members = [[h, f, bits, adj]]
-        if h == n and f < state.m2:
-            _note_feasible(state, f)
-    else:  # gsemo2
-        a = _exact_deficiency(state, bits, adj)
-        f2 = surplus_value(inst, bits)
-        state.members = [[a, f2, bits, adj]]
-        if a == 0 and f2 < state.m2:
-            _note_feasible(state, f2)
-    return state
+    return _RUNS[algo](inst, seed, opt_cost, node_budget)
 
 
-# --- one-offspring steps ------------------------------------------------------
-
-
-def _step_ea_edge(state: RunState) -> bool:
-    inst = state.inst
-    fm = flip_mask(inst.m, state.rng)
-    state.evaluations += 1
-    if fm == 0:
-        return False
-    bits = state.bits ^ fm
-    adj = state.adj.copy()
-    toggle_edges(inst, adj, fm)
-    f = scalar_value(inst, bits, adj)
-    if f > state.f:
-        return False
-    state.bits, state.adj, state.f = bits, adj, f
-    if f < state.m2:
-        _note_feasible(state, f)
-    return True
-
-
-def _step_ea_vertex(state: RunState) -> bool:
-    inst = state.inst
-    fm = flip_mask(inst.n, state.rng)
-    state.evaluations += 1
-    if fm == 0:
-        return False
-    bits = state.bits ^ fm
-    f = child_set_cost(inst, bits)
-    if f > state.f:
-        return False
-    state.bits, state.f = bits, f
-    if bits:
-        _note_feasible(state, f)
-    return True
-
-
-def _step_gsemo(state: RunState) -> bool:
-    inst = state.inst
-    rng = state.rng
-    n = inst.n
-    if state.over is not None:
-        src_bits, src_adj = state.over[1], state.over[2]
-    else:
-        keys = state.slot_keys
-        k = keys[0] if len(keys) == 1 else keys[rng.integers(len(keys))]
-        entry = state.slots[k]
-        src_bits, src_adj = entry[0], entry[1]
-    fm = flip_mask(inst.m, rng)
-    state.evaluations += 1
-    if fm == 0:
-        return False
-    bits = src_bits ^ fm
-    adj = src_adj.copy()
-    toggle_edges(inst, adj, fm)
-    h = bits.bit_count()
-
-    if h > n:
-        z = state.over
-        if z is None or h > z[0]:
-            return False
-        if h == z[0]:
-            if z[3] is None:
-                z[3] = depth_value(inst, z[1], z[2])
-            f = depth_value(inst, bits, adj)
-            if f > z[3]:
-                return False
-            state.over = [h, bits, adj, f]
-        else:
-            state.over = [h, bits, adj, None]
-        return True
-
-    f = depth_value(inst, bits, adj) if h == n else None
-    if state.over is not None:
-        state.over = None
-        state.slots[h] = [bits, adj, f]
-        state.slot_keys.append(h)
-    else:
-        entry = state.slots.get(h)
-        if entry is None:
-            state.slots[h] = [bits, adj, f]
-            state.slot_keys.append(h)
-        else:
-            if entry[2] is None:
-                entry[2] = depth_value(inst, entry[0], entry[1])
-            if f is None:
-                f = depth_value(inst, bits, adj)
-            if f > entry[2]:
-                return False
-            entry[0], entry[1], entry[2] = bits, adj, f
-    if f is not None and f < state.m2:
-        _note_feasible(state, f)
-    return True
-
-
-def _step_gsemo1(state: RunState) -> bool:
-    inst = state.inst
-    rng = state.rng
-    n = inst.n
-    members = state.members
-    entry = members[0] if len(members) == 1 else members[rng.integers(len(members))]
-    fm = flip_mask(inst.m, rng)
-    state.evaluations += 1
-    if fm == 0:
-        return False
-    bits = entry[2] ^ fm
-    adj = entry[3].copy()
-    toggle_edges(inst, adj, fm)
-    h = bits.bit_count()
-    if h != n and h != n + 1:
-        # outside the slot pair a strictly smaller distance to n wins outright
-        dy = h - n if h > n else n - h
-        for z in members:
-            hz = z[0]
-            if (hz - n if hz >= n else n - hz) < dy:
-                return False
-    f = depth_value(inst, bits, adj)
-    y = (h, f)
-    verdicts = [dominates_gsemo1(y, (z[0], z[1]), n) for z in members]
-    if any(v is Dominance.DOMINATED for v in verdicts):
-        return False
-    kept = [z for z, v in zip(members, verdicts) if not v.weak]
-    kept.append([h, f, bits, adj])
-    state.members = kept
-    if h == n and f < state.m2:
-        _note_feasible(state, f)
-    return True
-
-
-def _step_gsemo2(state: RunState) -> bool:
-    inst = state.inst
-    rng = state.rng
-    members = state.members
-    entry = members[0] if len(members) == 1 else members[rng.integers(len(members))]
-    fm = flip_mask(inst.m, rng)
-    state.evaluations += 1
-    if fm == 0:
-        return False
-    bits = entry[2] ^ fm
-    adj = entry[3].copy()
-    toggle_edges(inst, adj, fm)
-    a = deficiency_value(inst, bits, adj)
-    if a is None:
-        if all(z[0] <= 1 for z in members):
-            return False
-        a = _exact_deficiency(state, bits, adj)
-    f2 = surplus_value(inst, bits)
-    y = (a, f2)
-    verdicts = [dominates_gsemo2(y, (z[0], z[1])) for z in members]
-    if any(v is Dominance.DOMINATED for v in verdicts):
-        return False
-    kept = [z for z, v in zip(members, verdicts) if not v.weak]
-    kept.append([a, f2, bits, adj])
-    state.members = kept
-    if a == 0 and f2 < state.m2:
-        _note_feasible(state, f2)
-    return True
-
-
-_STEPPERS = {
-    "ea-edge": _step_ea_edge,
-    "gsemo": _step_gsemo,
-    "gsemo1": _step_gsemo1,
-    "gsemo2": _step_gsemo2,
-    "ea-vertex": _step_ea_vertex,
-}
-
-
-def step(state: RunState) -> bool:
+def step(state: Run) -> bool:
     """Evaluate one offspring; True iff the population changed."""
-    return _STEPPERS[state.algo](state)
+    return state.step()
 
 
-# --- inspection ---------------------------------------------------------------
-
-
-def population_view(state: RunState) -> tuple:
+def population_view(state: Run) -> tuple:
     """Snapshot of (solution, fitness) pairs, filling lazy fitness parts.
 
     Fitness is the scalar penalised value for the (1+1) EAs, (weight,
     penalised cost) for gsemo/gsemo1, and (deficiency value, penalised cost)
     for gsemo2.
     """
-    inst = state.inst
-    algo = state.algo
-    if algo == "ea-edge":
-        return ((EdgeSolution(state.bits, inst.m), state.f),)
-    if algo == "ea-vertex":
-        return ((VertexSolution(state.bits, inst.n), state.f),)
-    if algo == "gsemo":
-        if state.over is not None:
-            z = state.over
-            if z[3] is None:
-                z[3] = depth_value(inst, z[1], z[2])
-            return ((EdgeSolution(z[1], inst.m), (z[0], z[3])),)
-        out = []
-        for h in state.slot_keys:
-            entry = state.slots[h]
-            if entry[2] is None:
-                entry[2] = depth_value(inst, entry[0], entry[1])
-            out.append((EdgeSolution(entry[0], inst.m), (h, entry[2])))
-        return tuple(out)
-    return tuple((EdgeSolution(z[2], inst.m), (z[0], z[1])) for z in state.members)
+    return state.view()
 
 
-def best_feasible_cost(state: RunState) -> int | None:
+def best_feasible_cost(state: Run) -> int | None:
     """Cost of the population's feasible member, if any."""
-    m2 = state.m2
-    algo = state.algo
-    if algo == "ea-edge":
-        return state.f if state.f < m2 else None
-    if algo == "ea-vertex":
-        return state.f if state.bits else None
-    if algo == "gsemo":
-        if state.over is not None:
-            return None
-        entry = state.slots.get(state.inst.n)
-        if entry is None:
-            return None
-        if entry[2] is None:
-            entry[2] = depth_value(state.inst, entry[0], entry[1])
-        return entry[2] if entry[2] < m2 else None
-    if algo == "gsemo1":
-        for z in state.members:
-            if z[0] == state.inst.n and z[1] < m2:
-                return z[1]
-        return None
-    for z in state.members:
-        if z[0] == 0 and z[1] < m2:
-            return z[1]
-    return None
+    return state.best_feasible_cost()
 
 
-def potential(state: RunState) -> int | None:
+def potential(state: Run) -> int | None:
     """Penalty level of the population's best member: the scaled violation
     multiplier for the edge algorithms (0 once feasible), the deficiency
     value for gsemo2, 0/None for the always-feasible/empty vertex encoding."""
-    m2 = state.m2
-    algo = state.algo
-    if algo == "ea-edge":
-        return state.f // m2
-    if algo == "ea-vertex":
-        return 0 if state.bits else None
-    if algo == "gsemo2":
-        return min(z[0] for z in state.members)
-    if algo == "gsemo1":
-        return min(z[1] // m2 for z in state.members)
-    return min(f // m2 for _, (h, f) in population_view(state))
+    return state.potential()
 
 
 # --- the run loop -------------------------------------------------------------
@@ -480,7 +461,7 @@ def run(
         raise ValueError("targets 'ratio32' and 'opt' need opt_cost")
 
     state = init_state(algo, inst, seed, opt_cost=opt_cost, node_budget=node_budget)
-    stepf = _STEPPERS[algo]
+    stepf = state.step
     ms = state.milestones
     trace: list[tuple] = []
 
@@ -488,12 +469,12 @@ def run(
         return all(ms[t] is not None for t in targets)
 
     if trace_every:
-        trace.append((state.evaluations, best_feasible_cost(state), potential(state)))
+        trace.append((state.evaluations, state.best_feasible_cost(), state.potential()))
     if not (targets and met()):
         while state.evaluations < budget:
-            changed = stepf(state)
+            changed = stepf()
             if trace_every and state.evaluations % trace_every == 0:
-                trace.append((state.evaluations, best_feasible_cost(state), potential(state)))
+                trace.append((state.evaluations, state.best_feasible_cost(), state.potential()))
             if changed and targets and met():
                 break
 
@@ -507,7 +488,7 @@ def run(
         eval_feasible=ms["feasible"],
         eval_ratio32=ms["ratio32"],
         eval_opt=ms["opt"],
-        final_cost=best_feasible_cost(state),
+        final_cost=state.best_feasible_cost(),
         opt_cost=opt_cost,
         trace=tuple(trace),
     )

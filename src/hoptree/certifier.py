@@ -68,18 +68,6 @@ class HopTree:
             return 0
         return 1 if self.parent[v] == 0 else 2
 
-    def children_of_root(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if self.parent[v] == 0)
-
-    def grandchildren(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if self.parent[v] != 0)
-
-    def children(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u in range(1, self.n + 1) if self.parent[u] == v)
-
-    def has_child(self, v: int) -> bool:
-        return any(self.parent[u] == v for u in range(1, self.n + 1))
-
     def cost(self, inst: Instance) -> int:
         return sum(inst.weight(self.parent[v], v) for v in range(1, self.n + 1))
 

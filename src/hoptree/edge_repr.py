@@ -523,16 +523,14 @@ def removable_cycle_edges(inst: Instance, x: EdgeSolution) -> tuple[int, ...]:
 # --- mutation ----------------------------------------------------------------
 
 
-def flip_mask(length: int, rng, rate: float | None = None) -> int:
+def flip_mask(length: int, rng) -> int:
     """Positions hit by standard bit mutation, as a bitmask (0 = no flips).
 
-    Sampling draws the flip count from Binomial(length, rate) and then picks
-    that many distinct positions uniformly, which yields exactly the
+    Sampling draws the flip count from Binomial(length, 1/length) and then
+    picks that many distinct positions uniformly, which yields exactly the
     independent per-bit distribution while touching O(flips) slots.
     """
-    if rate is None:
-        rate = 1.0 / length
-    k = int(rng.binomial(length, rate))
+    k = int(rng.binomial(length, 1.0 / length))
     if k == 0:
         return 0
     pos: set[int] = set()
@@ -542,9 +540,3 @@ def flip_mask(length: int, rng, rate: float | None = None) -> int:
     for i in pos:
         mask |= 1 << i
     return mask
-
-
-def mutate_edge(x: EdgeSolution, rng, rate: float | None = None) -> EdgeSolution:
-    """Flip each bit independently with probability `rate` (default 1/m)."""
-    mask = flip_mask(x.m, rng, rate)
-    return x if mask == 0 else EdgeSolution(x.bits ^ mask, x.m)

@@ -41,11 +41,6 @@ from .edge_repr import (
     root_component,
     two_hop_cover,
 )
-from . import vertex_repr
-
-
-def penalty(inst: Instance) -> int:
-    return inst.m * inst.m
 
 
 def scalar_value(inst: Instance, bits: int, adj: list[int]) -> int:
@@ -112,10 +107,6 @@ def f_m2(inst: Instance, x: EdgeSolution, node_budget: int = 1_000_000) -> tuple
     return f1, surplus_value(inst, x.bits)
 
 
-def f_vertex(inst: Instance, x: "vertex_repr.VertexSolution") -> int:
-    return vertex_repr.cost(inst, x)
-
-
 class Dominance(Enum):
     """Relation of y to z: y strictly better, identical, worse, or neither."""
 
@@ -136,20 +127,6 @@ def _by_value(a: int, b: int) -> Dominance:
     if a > b:
         return Dominance.DOMINATED
     return Dominance.EQUAL
-
-
-def dominates_gsemo(y: tuple[int, int], z: tuple[int, int], n: int) -> Dominance:
-    """Weight-slotted dominance: weights in [0, n] compete only at equal weight;
-    once either weight leaves [0, n], lower weight wins outright."""
-    hy, fy = y
-    hz, fz = z
-    if hy <= n and hz <= n:
-        if hy != hz:
-            return Dominance.INCOMPARABLE
-        return _by_value(fy, fz)
-    if hy != hz:
-        return Dominance.STRICT if hy < hz else Dominance.DOMINATED
-    return _by_value(fy, fz)
 
 
 def dominates_gsemo1(y: tuple[int, int], z: tuple[int, int], n: int) -> Dominance:

@@ -13,6 +13,8 @@ package; vertex masks use bit v for vertex v.
 
 from __future__ import annotations
 
+import itertools
+
 
 class InstanceFormatError(ValueError):
     """Raised when instance text cannot be parsed; message carries the line number."""
@@ -45,11 +47,7 @@ class Instance:
         self.n = n
         self.m = m
         self._w = w
-        pairs = []
-        for u in range(n + 1):
-            for v in range(u + 1, n + 1):
-                pairs.append((u, v))
-        self.pairs = tuple(pairs)
+        self.pairs = pairs = tuple(itertools.combinations(range(n + 1), 2))
         w2 = 0
         n1 = [0] * (n + 1)
         for i, wi in enumerate(w):

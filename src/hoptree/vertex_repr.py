@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_model import Instance
-from .edge_repr import EdgeSolution, _split_solution_text, flip_mask
+from .edge_repr import EdgeSolution, _split_solution_text
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,3 @@ def to_edge_solution(inst: Instance, x: VertexSolution) -> EdgeSolution:
     for v in range(1, inst.n + 1):
         bits |= 1 << inst.edge_index(parent[v], v)
     return EdgeSolution(bits, inst.m)
-
-
-def mutate_vertex(x: VertexSolution, rng, rate: float | None = None) -> VertexSolution:
-    """Flip each bit independently with probability `rate` (default 1/n)."""
-    mask = flip_mask(x.n, rng, rate)
-    return x if mask == 0 else VertexSolution(x.bits ^ mask, x.n)

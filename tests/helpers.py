@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from hoptree.certifier import HopTree, Move, apply_move_edges
+from hoptree.fitness import Dominance
 from hoptree.graph_model import Instance
 
 
@@ -150,6 +151,25 @@ def random_tree(inst: Instance, rng: np.random.Generator) -> HopTree:
     return HopTree(tuple(parent))
 
 
+# --- tree roles by linear scans of the parent map ------------------------------
+
+
+def children_of_root(t: HopTree) -> tuple[int, ...]:
+    return tuple(v for v in range(1, t.n + 1) if t.parent[v] == 0)
+
+
+def grandchildren(t: HopTree) -> tuple[int, ...]:
+    return tuple(v for v in range(1, t.n + 1) if t.parent[v] != 0)
+
+
+def children(t: HopTree, v: int) -> tuple[int, ...]:
+    return tuple(u for u in range(1, t.n + 1) if t.parent[u] == v)
+
+
+def has_child(t: HopTree, v: int) -> bool:
+    return any(t.parent[u] == v for u in range(1, t.n + 1))
+
+
 # --- exhaustive rewrite-applicability scans -----------------------------------
 #
 # Each scan re-derives the vertex roles from the parent map and enumerates
@@ -226,7 +246,7 @@ def apply_move_tree(inst: Instance, t: HopTree, move: Move) -> HopTree:
 
 def find_op1(inst: Instance, t: HopTree) -> Move | None:
     """Grandchild with a weight-2 parent edge but a weight-1 root edge: rehang at root."""
-    for v1 in t.grandchildren():
+    for v1 in grandchildren(t):
         p1 = t.parent[v1]
         if inst.weight(v1, p1) == 2 and inst.weight(0, v1) == 1:
             return Move(1, (_edge(v1, p1),), (_edge(0, v1),), -1)
@@ -235,8 +255,8 @@ def find_op1(inst: Instance, t: HopTree) -> Move | None:
 
 def find_op2(inst: Instance, t: HopTree) -> Move | None:
     """Grandchild on a weight-2 edge that has a weight-1 link to some root child."""
-    kids = t.children_of_root()
-    gkids = t.grandchildren()
+    kids = children_of_root(t)
+    gkids = grandchildren(t)
     for v1 in kids:
         for v2 in gkids:
             p2 = t.parent[v2]
@@ -247,9 +267,9 @@ def find_op2(inst: Instance, t: HopTree) -> Move | None:
 
 def find_op3(inst: Instance, t: HopTree) -> Move | None:
     """Childless root child on a weight-2 root edge with a weight-1 link to a sibling."""
-    kids = t.children_of_root()
+    kids = children_of_root(t)
     for v1 in kids:
-        if t.has_child(v1) or inst.weight(0, v1) != 2:
+        if has_child(t, v1) or inst.weight(0, v1) != 2:
             continue
         for v2 in kids:
             if v2 != v1 and inst.weight(v1, v2) == 1:
@@ -261,7 +281,7 @@ def _leaf_roles(t: HopTree) -> tuple[int, ...]:
     """Vertices usable as relocation targets: grandchildren or childless root children."""
     out = []
     for v in range(1, t.n + 1):
-        if t.parent[v] != 0 or not t.has_child(v):
+        if t.parent[v] != 0 or not has_child(t, v):
             out.append(v)
     return tuple(out)
 
@@ -270,7 +290,7 @@ def find_op4(inst: Instance, t: HopTree) -> Move | None:
     """Grandchild whose parent edge matches its root edge weight, pulled up to the
     root while capturing a weight-2-attached leaf over a weight-1 link."""
     leaves = _leaf_roles(t)
-    for v1 in t.grandchildren():
+    for v1 in grandchildren(t):
         p1 = t.parent[v1]
         if inst.weight(v1, p1) != inst.weight(0, v1):
             continue
@@ -292,7 +312,7 @@ def find_op5(inst: Instance, t: HopTree) -> Move | None:
     """Grandchild on a weight-1 edge with a weight-2 root edge that can absorb two
     weight-2-attached leaves over weight-1 links, paying the root edge once."""
     leaves = _leaf_roles(t)
-    for v1 in t.grandchildren():
+    for v1 in grandchildren(t):
         p1 = t.parent[v1]
         if inst.weight(v1, p1) != 1 or inst.weight(0, v1) != 2:
             continue
@@ -323,7 +343,7 @@ def find_op6(inst: Instance, t: HopTree, partner_f2: int | None = None) -> Move 
     if partner_f2 is not None and partner_f2 < t.cost(inst) - 1:
         return None
     leaves = _leaf_roles(t)
-    for v1 in t.grandchildren():
+    for v1 in grandchildren(t):
         for i, v2 in enumerate(leaves):
             if v2 == v1 or inst.weight(t.parent[v2], v2) != 2 or inst.weight(v1, v2) != 1:
                 continue
@@ -357,6 +377,26 @@ def improve_until_certified(inst: Instance, t: HopTree) -> tuple[HopTree, list[M
         t = apply_move_tree(inst, t, move)
         applied.append(move)
     return t, applied
+
+
+# --- dominance reference ---------------------------------------------------------
+
+
+def dominates_gsemo(y: tuple[int, int], z: tuple[int, int], n: int) -> Dominance:
+    """Weight-slotted dominance: weights in [0, n] compete only at equal weight;
+    once either weight leaves [0, n], lower weight wins outright.  The gsemo
+    run keeps weight slots instead of calling it; tests check that the slots
+    follow this rule."""
+    hy, fy = y
+    hz, fz = z
+    if hy <= n and hz <= n and hy != hz:
+        return Dominance.INCOMPARABLE
+    a, b = (fy, fz) if hy == hz else (hy, hz)
+    if a < b:
+        return Dominance.STRICT
+    if a > b:
+        return Dominance.DOMINATED
+    return Dominance.EQUAL
 
 
 # --- algorithm-state structure checks -----------------------------------------

@@ -4,8 +4,9 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import all_twos
+from helpers import all_twos, dominates_gsemo
 from hoptree import algorithms, edge_repr, fitness
 from hoptree.algorithms import (
     ALGO_IDS,
@@ -21,6 +22,7 @@ from hoptree.algorithms import (
 )
 from hoptree.edge_repr import EdgeSolution, adjacency
 from hoptree.exact_oracle import optimum
+from hoptree.fitness import Dominance, dominates_gsemo1, dominates_gsemo2, f_m, f_m2
 from hoptree.graph_model import Instance
 from hoptree.instance_gen import random_instance
 
@@ -277,6 +279,54 @@ def test_population_view_fills_lazy_fitness(i3):
     view = population_view(state)
     assert view == ((EdgeSolution(0b000111, 6), (3, 5)),)
     assert state.slots[3][2] == 5
+
+
+_RULES = {
+    "gsemo": (f_m, lambda y, z, n: dominates_gsemo(y, z, n)),
+    "gsemo1": (f_m, lambda y, z, n: dominates_gsemo1(y, z, n)),
+    "gsemo2": (f_m2, lambda y, z, n: dominates_gsemo2(y, z)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    algo=st.sampled_from(sorted(_RULES)),
+    n=st.integers(2, 6),
+    p1=st.sampled_from((0.2, 0.5, 0.8)),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.one_of(st.integers(0, 3), st.integers(0, 300)),  # few steps: often overfull
+    data=st.data(),
+)
+def test_offers_follow_the_generic_dominance_rule(algo, n, p1, seed, steps, data):
+    """Reject an offspring some member dominates; else drop the members it
+    weakly dominates and add it.  gsemo's weight slots, gsemo1's distance
+    gate and gsemo2's cheap deficiency reject must all agree with that."""
+    inst = random_instance(n, p1, seed)
+    state = init_state(algo, inst, seed)
+    for _ in range(steps):
+        step(state)
+    fitness, rule = _RULES[algo]
+    before = {(fit, x.bits) for x, fit in population_view(state)}
+    # offspring: a member with a few flips (to meet its slot), or a random
+    # subgraph whose weight is drawn near n often enough to meet the slots
+    members = sorted(b for _, b in before)
+    flips = st.lists(st.integers(0, inst.m - 1), max_size=3)
+    if data.draw(st.booleans()):
+        bits = data.draw(st.sampled_from(members))
+        for i in data.draw(flips):
+            bits ^= 1 << i
+    else:
+        weight = data.draw(st.one_of(st.integers(0, n + 1), st.integers(0, inst.m)))
+        bits = sum(1 << i for i in data.draw(st.permutations(range(inst.m)))[:weight])
+    y = fitness(inst, EdgeSolution(bits, inst.m))
+    verdicts = [rule(y, fit, n) for fit, _ in before]
+    accepted = not any(v is Dominance.DOMINATED for v in verdicts)
+    expected = before
+    if accepted:
+        kept = {z for z, v in zip(before, verdicts) if not v.weak}
+        expected = kept | {(y, bits)}
+    assert state.offer(bits, adjacency(inst, EdgeSolution(bits, inst.m))) is accepted
+    assert {(fit, x.bits) for x, fit in population_view(state)} == expected
 
 
 # --- the run loop ---------------------------------------------------------------

@@ -68,11 +68,11 @@ def test_tree_validation():
 def test_tree_accessors(i3):
     t = HopTree((0, 2, 0, 2))
     assert t.n == 3
-    assert t.children_of_root() == (2,)
-    assert t.grandchildren() == (1, 3)
+    assert helpers.children_of_root(t) == (2,)
+    assert helpers.grandchildren(t) == (1, 3)
     assert (t.depth(0), t.depth(1), t.depth(2)) == (0, 2, 1)
-    assert t.children(2) == (1, 3)
-    assert t.has_child(2) and not t.has_child(1)
+    assert helpers.children(t, 2) == (1, 3)
+    assert helpers.has_child(t, 2) and not helpers.has_child(t, 1)
     assert t.cost(i3) == 4
     assert t.to_edge_solution(i3).edges(i3) == ((0, 2), (1, 2), (2, 3))
 
@@ -369,7 +369,7 @@ def test_roles_match_their_definitions():
         assert roles(inst, t) == Roles(
             mask(lambda v: t.parent[v] == 0),
             mask(lambda v: t.parent[v] != 0),
-            mask(t.has_child),
+            mask(lambda v: helpers.has_child(t, v)),
             p2,
             mask(lambda v: inst.weight(0, v) == 2),
             sum(1 << v for v in helpers._leaf_roles(t)) & p2,

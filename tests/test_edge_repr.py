@@ -17,7 +17,6 @@ from hoptree.edge_repr import (
     flip_mask,
     is_feasible,
     metrics,
-    mutate_edge,
     removable_cycle_edges,
     single_attachment_fixes,
     solution_from_text,
@@ -287,34 +286,42 @@ def test_removable_edges_unit_properties():
 # --- mutation -----------------------------------------------------------------
 
 
-class _NoFlipRng:
-    def binomial(self, length, rate):
-        return 0
+class _ScriptRng:
+    """Records the draws and answers them from a fixed list."""
+
+    def __init__(self, count, positions=()):
+        self.answers = [count, *positions]
+        self.calls = []
+
+    def binomial(self, length, p):
+        self.calls.append(("binomial", length, p))
+        return self.answers.pop(0)
+
+    def integers(self, low, high):
+        self.calls.append(("integers", low, high))
+        return self.answers.pop(0)
 
 
 def test_mutation_identity_on_zero_mask(i3):
-    x = star_solution(i3)
-    assert mutate_edge(x, _NoFlipRng()) is x
+    rng = _ScriptRng(0)
+    assert flip_mask(i3.m, rng) == 0
+    assert rng.calls == [("binomial", i3.m, 1.0 / i3.m)]
 
 
 def test_mutation_is_deterministic_per_seed(i3):
-    x = path_solution(i3)
-    a = mutate_edge(x, np.random.default_rng(5))
-    b = mutate_edge(x, np.random.default_rng(5))
-    assert a == b
+    a = [flip_mask(i3.m, np.random.default_rng(5)) for _ in range(2)]
+    assert a[0] == a[1]
+    assert len({flip_mask(i3.m, np.random.default_rng(seed)) for seed in range(20)}) > 1
 
 
 def test_mutation_matches_flip_mask_stream(i3):
-    x = path_solution(i3)
+    # the flip count comes from Binomial(m, 1/m), then distinct positions
+    # from integers(0, m); a repeated position is drawn again
+    rng = _ScriptRng(3, [4, 1, 4, 0])
+    assert flip_mask(i3.m, rng) == 0b10011
+    assert rng.calls == [("binomial", i3.m, 1.0 / i3.m)] + [("integers", 0, i3.m)] * 4
     for seed in range(20):
-        y = mutate_edge(x, np.random.default_rng(seed))
-        mask = flip_mask(i3.m, np.random.default_rng(seed))
-        assert y.bits == x.bits ^ mask
-
-
-def test_flip_mask_full_rate():
-    mask = flip_mask(10, np.random.default_rng(0), rate=1.0)
-    assert mask == (1 << 10) - 1
+        assert 0 <= flip_mask(i3.m, np.random.default_rng(seed)) < 1 << i3.m
 
 
 def test_mutation_mean_flip_count():

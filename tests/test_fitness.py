@@ -9,21 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import all_ones
+from helpers import all_ones, dominates_gsemo
 from hoptree.edge_repr import EdgeSolution, is_feasible
 from hoptree.fitness import (
     Dominance,
-    dominates_gsemo,
     dominates_gsemo1,
     dominates_gsemo2,
     f_m,
     f_m2,
     f_one_plus_one,
-    f_vertex,
-    penalty,
 )
 from hoptree.graph_model import Instance
-from hoptree.vertex_repr import VertexSolution
+from hoptree.vertex_repr import VertexSolution, cost as vertex_cost
 
 
 def _sol(inst, pairs):
@@ -42,7 +39,9 @@ def star(i3):
 
 
 def test_penalty_unit(i3):
-    assert penalty(i3) == 36
+    # the unit is m^2: the empty subgraph pays it twice per too-deep vertex
+    assert i3.m ** 2 == 36
+    assert f_one_plus_one(i3, EdgeSolution(0, i3.m)) == 2 * 3 * i3.m ** 2
 
 
 def test_scalar_fitness_reference_values(i3, path, star):
@@ -67,9 +66,9 @@ def test_deficiency_cost_fitness_reference_values(i3, path, star):
 
 def test_vertex_fitness_reference_values(i3):
     inst = all_ones(5)
-    assert f_vertex(inst, VertexSolution(0b11111, 5)) == 5
-    assert f_vertex(i3, VertexSolution(0b001, 3)) == 4
-    assert f_vertex(i3, VertexSolution(0, 3)) == 7
+    assert vertex_cost(inst, VertexSolution(0b11111, 5)) == 5
+    assert vertex_cost(i3, VertexSolution(0b001, 3)) == 4
+    assert vertex_cost(i3, VertexSolution(0, 3)) == 7
 
 
 def _instances_up_to_4():
@@ -84,7 +83,7 @@ def _instances_up_to_4():
 
 def test_scalar_fitness_bridges_feasibility_exhaustively():
     for inst in _instances_up_to_4():
-        cut = penalty(inst)
+        cut = inst.m ** 2
         for bits in range(1 << inst.m):
             x = EdgeSolution(bits, inst.m)
             assert (f_one_plus_one(inst, x) < cut) == is_feasible(inst, x)
@@ -92,7 +91,7 @@ def test_scalar_fitness_bridges_feasibility_exhaustively():
 
 def test_vector_fitness_bridges_feasibility_exhaustively():
     for inst in _instances_up_to_4():
-        cut = penalty(inst)
+        cut = inst.m ** 2
         for bits in range(1 << inst.m):
             x = EdgeSolution(bits, inst.m)
             ok = is_feasible(inst, x)

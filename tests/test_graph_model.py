@@ -21,6 +21,12 @@ def test_edge_index_is_lexicographic():
             assert inst.pair(i) == (u, v)
             i += 1
     assert i == inst.m == 15
+    for n in range(1, 9):
+        inst = all_twos(n)
+        assert len(inst.pairs) == inst.m
+        for u in range(n + 1):
+            for v in range(u + 1, n + 1):
+                assert inst.pairs[inst.edge_index(u, v)] == (u, v)
 
 
 def test_edge_index_accepts_swapped_endpoints():

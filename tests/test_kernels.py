@@ -26,10 +26,10 @@ from hoptree.edge_repr import (
     two_hop_cover,
 )
 from hoptree.exact_oracle import _child_set_cost
-from hoptree.fitness import deficiency_value, f_m, f_m2, f_one_plus_one, f_vertex
+from hoptree.fitness import deficiency_value, f_m, f_m2, f_one_plus_one
 from hoptree.graph_model import Instance
 from hoptree.instance_gen import random_instance
-from hoptree.vertex_repr import VertexSolution, build_tree, child_set_cost
+from hoptree.vertex_repr import VertexSolution, build_tree, child_set_cost, cost as vertex_cost
 
 
 @st.composite
@@ -118,7 +118,7 @@ _REFERENCE = {
     "gsemo": f_m,
     "gsemo1": f_m,
     "gsemo2": f_m2,
-    "ea-vertex": f_vertex,
+    "ea-vertex": vertex_cost,
 }
 
 

@@ -1,17 +1,20 @@
 """Child-set solutions and their canonical tree decoding."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from helpers import all_ones
+from hoptree.algorithms import init_state
 from hoptree.edge_repr import cost as edge_cost, flip_mask, is_feasible
 from hoptree.exact_oracle import optimum
 from hoptree.graph_model import Instance
 from hoptree.vertex_repr import (
     VertexSolution,
     build_tree,
+    child_set_cost,
     cost,
-    mutate_vertex,
     to_edge_solution,
 )
 
@@ -101,23 +104,27 @@ def test_best_child_set_matches_oracle():
 
 
 class _NoFlipRng:
-    def binomial(self, length, rate):
+    def binomial(self, length, p):
         return 0
 
 
 def test_mutation_identity_and_determinism():
-    x = VertexSolution(0b0110, 4)
-    assert mutate_vertex(x, _NoFlipRng()) is x
-    assert mutate_vertex(x, np.random.default_rng(2)) == mutate_vertex(
-        x, np.random.default_rng(2)
-    )
+    assert flip_mask(4, _NoFlipRng()) == 0
+    assert flip_mask(4, np.random.default_rng(2)) == flip_mask(4, np.random.default_rng(2))
 
 
 def test_mutation_matches_flip_mask_stream():
-    x = VertexSolution(0b0110, 4)
+    # a vertex-EA offspring is its parent's child mask XOR an n-bit flip_mask
+    # drawn from the run's own stream; it replaces the parent unless it costs more
+    inst = Instance(4, [1, 2, 2, 1, 1, 2, 2, 1, 2, 1])
     for seed in range(20):
-        y = mutate_vertex(x, np.random.default_rng(seed))
-        assert y.bits == x.bits ^ flip_mask(4, np.random.default_rng(seed))
+        state = init_state("ea-vertex", inst, seed)
+        twin = copy.deepcopy(state.rng)
+        before = state.bits
+        state.step()
+        child = before ^ flip_mask(4, twin)
+        kept = child_set_cost(inst, child) <= child_set_cost(inst, before)
+        assert state.bits == (child if kept else before)
 
 
 def test_mutation_mean_flip_count():
