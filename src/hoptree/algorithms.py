@@ -275,8 +275,8 @@ class Gsemo(Run):
         z = self.over
         if z is not None:
             return ((EdgeSolution(z[1], m), (z[0], self._cost(z))),)
-        slots = self.slots
-        return tuple((EdgeSolution(slots[h][0], m), (h, self._cost(slots[h]))) for h in self.slot_keys)
+        entries = [(h, self.slots[h]) for h in self.slot_keys]
+        return tuple((EdgeSolution(e[0], m), (h, self._cost(e))) for h, e in entries)
 
     def best_feasible_cost(self) -> int | None:
         entry = self.slots.get(self.inst.n) if self.over is None else None
@@ -372,8 +372,8 @@ class Gsemo2(_Archive):
         if a is None:
             if self.members and all(z[0] <= 1 for z in self.members):
                 return None
-            node_budget = self.node_budget
-            a = deficiency_value(inst, bits, adj, lambda x: deficiency_set_size(inst, x, node_budget))
+            budget = self.node_budget
+            a = deficiency_value(inst, bits, adj, lambda x: deficiency_set_size(inst, x, budget))
         return a, surplus_value(inst, bits)
 
     def dominates(self, y, z) -> Dominance:

@@ -1,4 +1,4 @@
-"""Steppers, populations, milestones, and the run loop."""
+"""Run steps, populations, milestones, and the run loop."""
 
 from collections import deque
 
@@ -30,7 +30,7 @@ from hoptree.instance_gen import random_instance
 class ScriptRng:
     """Replays a fixed list of draws so a step takes a chosen path.
 
-    Steppers draw, in order: a parent index via integers(k) when the
+    A step draws, in order: a parent index via integers(k) when the
     population has more than one member, the flip count via binomial, then
     distinct flip positions via integers(0, length).
     """
@@ -187,7 +187,7 @@ def test_gsemo2_rejects_deep_deficiency_cheaply():
     state.members = [[0, 10, bits, adj]]
     state.rng = ScriptRng([1, missing])
     # the offspring needs two attachments; with the slot pair already at
-    # deficiency <= 1 the stepper rejects without the exact search
+    # deficiency <= 1 the run rejects without the exact search
     assert step(state) is False
     assert [tuple(z[:2]) for z in state.members] == [(0, 10)]
 
@@ -282,8 +282,8 @@ def test_population_view_fills_lazy_fitness(i3):
 
 
 _RULES = {
-    "gsemo": (f_m, lambda y, z, n: dominates_gsemo(y, z, n)),
-    "gsemo1": (f_m, lambda y, z, n: dominates_gsemo1(y, z, n)),
+    "gsemo": (f_m, dominates_gsemo),
+    "gsemo1": (f_m, dominates_gsemo1),
     "gsemo2": (f_m2, lambda y, z, n: dominates_gsemo2(y, z)),
 }
 
