@@ -27,6 +27,7 @@ from .graph_model import Instance
 from .edge_repr import (
     EdgeSolution,
     adjacency,
+    bfs_forest,
     is_feasible,
     metrics,
     single_attachment_fixes,
@@ -81,16 +82,7 @@ class HopTree:
     def from_edge_solution(cls, inst: Instance, x: EdgeSolution) -> "HopTree":
         if not is_feasible(inst, x):
             raise TreeError("edge solution is not a two-hop spanning tree")
-        adj = adjacency(inst, x)
-        n = inst.n
-        parent = [0] * (n + 1)
-        root_kids = adj[0]
-        for v in range(1, n + 1):
-            if root_kids >> v & 1:
-                continue
-            up = adj[v] & root_kids
-            assert up, "feasible grandchild must neighbour a root child"
-            parent[v] = (up & -up).bit_length() - 1
+        parent, _ = bfs_forest(inst.n, adjacency(inst, x))
         return cls(tuple(parent))
 
 
@@ -333,11 +325,9 @@ def find_op7(inst: Instance, x3: EdgeSolution, partner: EdgeSolution) -> Move | 
         raise ValueError(f"partner width {partner.m} does not match instance m={inst.m}")
     if met.cost > surplus_value(inst, partner.bits) - 2:
         return None
-    adj = adjacency(inst, x3)
+    parent, _ = bfs_forest(inst.n, adjacency(inst, x3))
     for v in sorted(witnesses, key=lambda u: (met.dist[u], u)):
-        # the tree parent of v is its neighbour nearest the root
-        up = [u for u in range(inst.n + 1) if adj[v] >> u & 1 and met.dist[u] == met.dist[v] - 1]
-        p = min(up)
+        p = parent[v]
         move = Move(7, (_edge(v, p),), (_edge(0, v),), inst.weight(0, v) - inst.weight(v, p))
         if is_feasible(inst, apply_move_edges(inst, x3, move)):
             return move

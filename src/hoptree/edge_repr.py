@@ -10,11 +10,13 @@ Distances use the sentinel n+1 for vertices not connected to the root, so
 `N_{n>=d>2}` counts only the connected-but-too-deep ones.
 
 This module is the one home of the graph kernels over vertex bitmasks:
-adjacency and its in-place flip update, components with the root's
-component, the root's component alone grown out from its two-hop cover
-(`root_component`; it and `components` share one growth loop), the
-two-hop cover, the edge cost, and the deficiency tests (the cheap
-one-attachment test and the exact branch and bound).
+adjacency and its in-place flip update, the breadth-first forest
+(`bfs_forest`: root distances and tree parents, and through them the
+metrics, the removable cycle edges and the certifier's parent maps),
+components with the root's component, the root's component alone grown
+out from its two-hop cover (`root_component`; it and `components` share
+one growth loop), the two-hop cover, the edge cost, and the deficiency
+tests (the cheap one-attachment test and the exact branch and bound).
 """
 
 from __future__ import annotations
@@ -117,30 +119,45 @@ def edge_cost(inst: Instance, bits: int) -> int:
     return bits.bit_count() + (bits & inst.w2_mask).bit_count()
 
 
-def _bfs_dist(n: int, adj: list[int]) -> list[int]:
-    sentinel = n + 1
-    dist = [sentinel] * (n + 1)
+def bfs_forest(n: int, adj: list[int]) -> tuple[list[int], list[int]]:
+    """(parent, dist): a breadth-first spanning forest and the root distances.
+
+    Each component is grown in layers from its lowest vertex, the root's
+    first.  `parent[v]` is v's lowest-index neighbour in the layer before
+    v's own; each component's first vertex is its own parent, so the
+    self-parents count the components.  `dist[v]` is the hop distance from
+    the root, with the sentinel n+1 outside the root's component.
+    """
+    parent = list(range(n + 1))
+    dist = [n + 1] * (n + 1)
     dist[0] = 0
-    seen = 1
-    frontier = 1
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        t = frontier
-        while t:
-            b = t & -t
-            nxt |= adj[b.bit_length() - 1]
-            t ^= b
-        nxt &= ~seen
-        seen |= nxt
-        t = nxt
-        while t:
-            b = t & -t
-            dist[b.bit_length() - 1] = d
-            t ^= b
-        frontier = nxt
-    return dist
+    unseen = (1 << (n + 1)) - 1
+    while unseen:
+        frontier = unseen & -unseen  # the first vertex of the next component
+        unseen ^= frontier
+        in_root = frontier == 1
+        d = 0
+        while frontier:
+            d += 1
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                u = b.bit_length() - 1
+                # the layer is walked in ascending order, so the first u to
+                # reach a vertex is its lowest-index neighbour in the layer
+                fresh = adj[u] & unseen
+                unseen ^= fresh
+                nxt |= fresh
+                while fresh:
+                    c = fresh & -fresh
+                    fresh ^= c
+                    v = c.bit_length() - 1
+                    parent[v] = u
+                    if in_root:
+                        dist[v] = d
+            frontier = nxt
+    return parent, dist
 
 
 def _grow(adj: list[int], comp: int, frontier: int) -> int:
@@ -235,11 +252,9 @@ class EdgeMetrics:
 
 
 def metrics(inst: Instance, x: EdgeSolution) -> EdgeMetrics:
-    adj = adjacency(inst, x)
-    h = x.bits.bit_count()
-    dist = _bfs_dist(inst.n, adj)
-    ncc, _ = components(inst.n, adj)
-    return EdgeMetrics(hamming=h, cost=edge_cost(inst, x.bits), n_cc=ncc, dist=tuple(dist))
+    parent, dist = bfs_forest(inst.n, adjacency(inst, x))
+    n_cc = sum(1 for v, p in enumerate(parent) if p == v)
+    return EdgeMetrics(hamming=x.bits.bit_count(), cost=edge_cost(inst, x.bits), n_cc=n_cc, dist=tuple(dist))
 
 
 def cost(inst: Instance, x: EdgeSolution) -> int:
@@ -398,126 +413,22 @@ def deficiency_class(inst: Instance, x: EdgeSolution) -> DeficiencyClass:
 # --- cycle-edge removal ------------------------------------------------------
 
 
-def _find_cycle(n: int, adj: list[int]) -> list[int] | None:
-    """Deterministic DFS cycle search; returns the cycle's vertex sequence.
-
-    Roots and neighbours are scanned in ascending index order, so the result
-    depends only on the adjacency structure.  Every non-tree edge of an
-    undirected DFS closes a cycle with the current path, so the first back
-    edge met yields the cycle.
-    """
-    visited = 0
-    parent = [-1] * (n + 1)
-    for root in range(n + 1):
-        if visited >> root & 1:
-            continue
-        visited |= 1 << root
-        on_path = 1 << root
-        stack = [(root, adj[root])]
-        while stack:
-            v, rem = stack[-1]
-            if rem == 0:
-                stack.pop()
-                on_path &= ~(1 << v)
-                continue
-            b = rem & -rem
-            stack[-1] = (v, rem ^ b)
-            w = b.bit_length() - 1
-            if w == parent[v]:
-                continue
-            if visited >> w & 1:
-                if on_path >> w & 1:
-                    cycle = [w]
-                    a = v
-                    while a != w:
-                        cycle.append(a)
-                        a = parent[a]
-                    cycle.reverse()  # w, ..., v along the DFS path
-                    return cycle
-                continue
-            visited |= 1 << w
-            parent[w] = v
-            on_path |= 1 << w
-            stack.append((w, adj[w]))
-    return None
-
-
-def _shortest_path_mask(n: int, adj: list[int], v: int) -> int:
-    """Vertex mask of a shortest root-to-v path, parents chosen lowest-index-first."""
-    par = [-1] * (n + 1)
-    seen = 1
-    frontier = 1
-    while frontier and par[v] == -1:
-        new = 0
-        t = frontier
-        while t:
-            b = t & -t
-            u = b.bit_length() - 1
-            t ^= b
-            cand = adj[u] & ~seen & ~new
-            while cand:
-                bb = cand & -cand
-                par[bb.bit_length() - 1] = u
-                new |= bb
-                cand ^= bb
-        seen |= new
-        frontier = new
-    mask = 1 << v
-    a = v
-    while a != 0:
-        a = par[a]
-        assert a != -1, "path endpoint must be reachable from the root"
-        mask |= 1 << a
-    return mask
-
-
 def removable_cycle_edges(inst: Instance, x: EdgeSolution) -> tuple[int, ...]:
     """Edge indices whose individual removal from x lowers cost while keeping
     both the component count and N_{d>2} unchanged.
 
-    Requires N_cc(x) + |x| > n + 1 and returns exactly
-    N_cc(x) + |x| - n - 1 edges, found by repeatedly locating a cycle in the
-    progressively pruned subgraph and picking one of its edges:
-
-    * cycle in a component without the root: lowest-index cycle edge;
-    * every cycle vertex within one hop of the root: lowest-index cycle edge
-      avoiding the root;
-    * otherwise: take the lowest-index cycle vertex v at distance >= 2, a
-      shortest path P from v to the root, and the lowest-index neighbour v1
-      of v inside the cycle but outside P; remove (v, v1).
+    Requires N_cc(x) + |x| > n + 1 and returns, in ascending index order,
+    the N_cc(x) + |x| - n - 1 edges of x outside its breadth-first forest
+    (`bfs_forest`).  Removing any one of them leaves that forest in place,
+    so the components and every root distance stay as they are, while the
+    cost drops by the edge's weight.
     """
-    n = inst.n
-    met = metrics(inst, x)
-    excess = met.n_cc + met.hamming - n - 1
-    if excess <= 0:
-        raise ValueError(f"no removable cycle edges: N_cc + |x| = {met.n_cc + met.hamming} <= n + 1")
-    adj = adjacency(inst, x)
-    out: list[int] = []
-    for _ in range(excess):
-        cyc = _find_cycle(n, adj)
-        assert cyc is not None, "edge excess implies a cycle"
-        cmask = 0
-        for v in cyc:
-            cmask |= 1 << v
-        k = len(cyc)
-        cycle_edges = [(cyc[i], cyc[(i + 1) % k]) for i in range(k)]
-        dist = _bfs_dist(n, adj)
-        if all(dist[v] > n for v in cyc):
-            u, v = min(cycle_edges, key=lambda e: inst.edge_index(*e))
-        elif all(dist[v] <= 1 for v in cyc):
-            nonroot = [e for e in cycle_edges if 0 not in e]
-            u, v = min(nonroot, key=lambda e: inst.edge_index(*e))
-        else:
-            far = min(v for v in cyc if dist[v] >= 2)
-            pmask = _shortest_path_mask(n, adj, far)
-            pick = adj[far] & cmask & ~pmask
-            assert pick, "a cycle neighbour outside the shortest path must exist"
-            v1 = (pick & -pick).bit_length() - 1
-            u, v = far, v1
-        out.append(inst.edge_index(u, v))
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    return tuple(out)
+    parent, _ = bfs_forest(inst.n, adjacency(inst, x))
+    forest = sum(1 << inst.edge_index(p, v) for v, p in enumerate(parent) if p != v)
+    rest = x.bits & ~forest
+    if not rest:
+        raise ValueError("no removable cycle edges: x is a forest, N_cc + |x| = n + 1")
+    return tuple(i for i in range(x.m) if rest >> i & 1)
 
 
 # --- mutation ----------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Exhaustive ground-truth oracles, for tests and small-instance experiments.
 
-Everything here trades speed for independence: the optimum enumerates all
-child sets, distances come from boolean matrix powers rather than the BFS
-used by the solution metrics, and the deficiency oracle tries attachment
-sets literally by adding root edges.  Each refuses inputs above its
-enumeration bound instead of guessing.
+Everything here trades speed for independence: the optimum prices every
+child set once, in vectorized chunks, distances come from boolean matrix
+powers rather than the breadth-first forest used by the solution metrics,
+and the deficiency oracle tries attachment sets literally by adding root
+edges.  Each refuses inputs above its enumeration bound instead of
+guessing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations
 
 import numpy as np
@@ -22,67 +24,62 @@ BRUTE_VD_MAX_N = 14
 _CHUNK = 1 << 18
 
 
-def _chunked_min_cost(inst: Instance, include: int, exclude: int) -> int:
-    """Minimum tree cost over nonempty child sets S with include ⊆ S, S ∩ exclude = ∅.
+def _chunk_picks(inst: Instance) -> Iterator[tuple[int, int]]:
+    """(cost, child set) per chunk: the least tree cost over the chunk's child
+    sets, and the lex-least child set at that cost.
 
-    Child sets are encoded as integers with bit v-1 for vertex v and swept in
-    vectorized chunks over the undecided vertices.
+    Child sets are encoded as integers with bit v-1 for vertex v; the
+    nonempty ones are swept once, in vectorized chunks of `_CHUNK`.
     """
     n = inst.n
-    free = [v for v in range(1, n + 1) if not (include >> (v - 1) & 1) and not (exclude >> (v - 1) & 1)]
-    w0 = np.array([0] + list(inst.root_weights[1:]), dtype=np.int64)
+    w0 = np.array(inst.root_weights, dtype=np.int64)
     n1 = [inst.n1_mask(v) >> 1 for v in range(n + 1)]  # shifted to child-set encoding
-    best = None
-    total = 1 << len(free)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        ks = np.arange(lo, hi, dtype=np.int64)
-        masks = np.full(ks.shape, include, dtype=np.int64)
-        for j, v in enumerate(free):
-            masks |= ((ks >> j) & 1) << (v - 1)
-        costs = np.zeros(ks.shape, dtype=np.int64)
+    total = 1 << n
+    for lo in range(1, total, _CHUNK):
+        masks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        costs = np.zeros(masks.shape, dtype=np.int64)
         for v in range(1, n + 1):
             member = (masks >> (v - 1)) & 1
             covered = (masks & n1[v]) != 0
             costs += member * w0[v] + (1 - member) * (2 - covered)
-        costs[masks == 0] = np.iinfo(np.int64).max  # the empty set is no tree
-        chunk_best = int(costs.min())
-        if best is None or chunk_best < best:
-            best = chunk_best
-    return best
+        best = int(costs.min())
+        yield best, _lex_least(masks[costs == best], n)
 
 
-def _child_set_cost(inst: Instance, mask: int) -> int:
-    total = 0
-    for v in range(1, inst.n + 1):
-        if mask >> (v - 1) & 1:
-            total += inst.root_weights[v]
-        else:
-            total += 1 if (inst.n1_mask(v) >> 1) & mask else 2
-    return total
+def _lex_least(masks: np.ndarray, n: int) -> int:
+    """The mask in `masks` whose sorted vertex tuple is least.
+
+    Takes each vertex, lowest first, that some remaining mask contains,
+    keeps only the masks containing it, and stops once the vertices taken
+    form one of the masks: that mask is a prefix of every other one left.
+    """
+    taken = 0
+    for v in range(1, n + 1):
+        bit = 1 << (v - 1)
+        with_v = masks[(masks & bit) != 0]
+        if with_v.size:
+            masks = with_v
+            taken |= bit
+            if (masks == taken).any():
+                break
+    return taken
 
 
 def optimum(inst: Instance, max_n: int = OPTIMUM_MAX_N) -> tuple[int, frozenset[int]]:
     """Exact optimum cost and the lexicographically least optimal child set.
 
     Ties between optimal child sets break toward the set whose sorted vertex
-    tuple is smallest, e.g. {1} before {1,2} before {2}.  Refuses n beyond
-    `max_n` (2^n enumeration).
+    tuple is smallest, e.g. {1} before {1,2} before {2}.  Every child set is
+    priced once; each chunk offers its lex-least cheapest set and the
+    lex-least of the cheapest offers wins.  Refuses n beyond `max_n` (2^n
+    enumeration).
     """
     if inst.n > max_n:
         raise ValueError(f"optimum enumeration bound exceeded: n={inst.n} > {max_n}")
-    best = _chunked_min_cost(inst, 0, 0)
-    include = 0
-    exclude = 0
-    v = 1
-    while include == 0 or _child_set_cost(inst, include) != best:
-        assert v <= inst.n, "an optimal child set must exist"
-        if _chunked_min_cost(inst, include | (1 << (v - 1)), exclude) == best:
-            include |= 1 << (v - 1)
-        else:
-            exclude |= 1 << (v - 1)
-        v += 1
-    return best, frozenset(u for u in range(1, inst.n + 1) if include >> (u - 1) & 1)
+    picks = list(_chunk_picks(inst))
+    best = min(cost for cost, _ in picks)
+    mask = _lex_least(np.array([m for cost, m in picks if cost == best], dtype=np.int64), inst.n)
+    return best, frozenset(v for v in range(1, inst.n + 1) if mask >> (v - 1) & 1)
 
 
 # --- matrix-power distances --------------------------------------------------

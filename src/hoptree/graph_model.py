@@ -48,16 +48,13 @@ class Instance:
         self.m = m
         self._w = w
         self.pairs = pairs = tuple(itertools.combinations(range(n + 1), 2))
-        w2 = 0
+        # one bit string, last edge first, so that bit i is edge i
+        self.w2_mask = int("".join("1" if x == 2 else "0" for x in reversed(w)), 2)
         n1 = [0] * (n + 1)
-        for i, wi in enumerate(w):
-            if wi == 2:
-                w2 |= 1 << i
-            else:
-                u, v = pairs[i]
+        for (u, v), wi in zip(pairs, w):
+            if wi == 1:
                 n1[u] |= 1 << v
                 n1[v] |= 1 << u
-        self.w2_mask = w2
         self._n1_masks = tuple(n1)
         self.root_weights = (0,) + tuple(w[:n])  # root_weights[v] = W(0, v)
 
@@ -75,9 +72,6 @@ class Instance:
 
     def weight(self, u: int, v: int) -> int:
         return self._w[self.edge_index(u, v)]
-
-    def edge_weight(self, i: int) -> int:
-        return self._w[i]
 
     def n1_mask(self, v: int) -> int:
         """Vertex bitmask of v's weight-1 neighbours (may include the root bit)."""

@@ -9,6 +9,10 @@ column in the emitted CSV.
 
 Worker processes: `run_grid(cfg, workers=k)` parallelises over trials;
 records always come back in trial order.
+
+`summarize` fits the scaling slopes with `scipy.stats`, imported there
+alone, so that loading the harness (every CLI command, every benchmark
+set-up and every pool worker) does not pay for scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .graph_model import Instance, load_instance
 from .algorithms import ALGO_IDS, MAX_BUDGET, TARGET_NAMES, run
@@ -322,6 +325,8 @@ class SlopeFit:
 
 
 def summarize(records: list[TrialRecord]) -> tuple[list[MilestoneSummary], list[SlopeFit]]:
+    from scipy import stats  # imported here, its one user: it multiplies the package's import time and RSS
+
     groups: dict[tuple[str, int], list[TrialRecord]] = {}
     for r in records:
         groups.setdefault((r.algo, r.n), []).append(r)

@@ -8,6 +8,7 @@ import helpers
 from helpers import all_ones, all_twos
 from hoptree.edge_repr import (
     DeficiencyClass,
+    DeficiencySearchBudget,
     EdgeSolution,
     adjacency,
     components,
@@ -206,6 +207,15 @@ def test_deficiency_class_examples(i3):
     assert deficiency_class(inst6, x6) is DeficiencyClass.MANY
     # disconnected selections are never ZERO or ONE
     assert deficiency_class(i3, EdgeSolution(0, i3.m)) is DeficiencyClass.MANY
+
+
+def test_deficiency_search_budget(i3):
+    # vertex 3 sits three hops deep, so the exact search must take a node
+    with pytest.raises(DeficiencySearchBudget):
+        deficiency_set_size(i3, path_solution(i3), node_budget=0)
+    # nothing connected lies deeper than two hops: no search is needed
+    assert deficiency_set_size(i3, star_solution(i3), node_budget=0) == 0
+    assert deficiency_set_size(i3, EdgeSolution(0, i3.m), node_budget=0) == 0
 
 
 def test_deficiency_class_agrees_with_size_when_connected():

@@ -14,6 +14,7 @@ from hoptree.exact_oracle import (
     optimum,
 )
 from hoptree.graph_model import Instance
+from hoptree.instance_gen import random_instance
 
 
 def _sol(inst, pairs):
@@ -25,14 +26,18 @@ def test_optimum_reference_values(i3):
     assert optimum(all_ones(5)) == (5, frozenset({1}))
     assert optimum(all_twos(4))[0] == 8
     assert optimum(i3) == (4, frozenset({1}))
+    # at n = 20 the child sets span several enumeration chunks; only {20}
+    # is optimal in the second instance, and its mask lies beyond the first
+    assert optimum(all_ones(20)) == (20, frozenset({1}))
+    last = Instance(20, [1 if 20 in pair else 2 for pair in all_twos(20).pairs])
+    assert optimum(last) == (20, frozenset({20}))
 
 
 def test_optimum_matches_exhaustive_enumeration():
     rng = np.random.default_rng(19)
-    for _ in range(25):
-        n = int(rng.integers(2, 8))
-        m = n * (n + 1) // 2
-        inst = Instance(n, [int(w) for w in rng.integers(1, 3, size=m)])
+    for _ in range(40):
+        n = int(rng.integers(1, 10))
+        inst = random_instance(n, float(rng.uniform(0, 1)), int(rng.integers(1 << 30)))
         cost, children = optimum(inst)
         ref_cost, ref_children = helpers.brute_optimum(inst)
         assert cost == ref_cost

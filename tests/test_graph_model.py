@@ -107,6 +107,11 @@ def test_comments_and_blank_lines():
 )
 def test_text_round_trip(inst):
     assert Instance.from_text(inst.to_text()) == inst
+    for i, (u, v) in enumerate(inst.pairs):
+        assert (inst.w2_mask >> i & 1) == (inst.weights[i] == 2)
+        assert (inst.n1_mask(u) >> v & 1) == (inst.n1_mask(v) >> u & 1) == (inst.weights[i] == 1)
+    assert inst.w2_mask >> inst.m == 0
+    assert all(not inst.n1_mask(v) >> v & 1 for v in range(inst.n + 1))
 
 
 @pytest.mark.parametrize(

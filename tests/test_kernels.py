@@ -2,12 +2,14 @@
 
 The search loops keep each member's neighbour bitmasks up to date under
 mutation and read components, the two-hop cover, the edge cost and the
-attachment deficiency off them.  Random edge sets and flip sequences are
+attachment deficiency off them; the metrics and the certifier read root
+distances and tree parents off the breadth-first forest.  Random edge sets and flip sequences are
 driven through those kernels and compared with the plain-graph references
 in ``helpers`` and with the adjacency rebuilt from scratch.  The vertex
-EA's child-set cost is compared with the oracle's per-vertex reference and
-with the cost of the decoded tree.
+EA's child-set cost is compared with the cost of the decoded tree.
 """
+
+from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from hoptree.certifier import HopTree
 from hoptree.edge_repr import (
     EdgeSolution,
     adjacency,
+    bfs_forest,
     cheap_deficiency_size,
     components,
     deficiency_set_size,
@@ -25,7 +28,6 @@ from hoptree.edge_repr import (
     toggle_edges,
     two_hop_cover,
 )
-from hoptree.exact_oracle import _child_set_cost
 from hoptree.fitness import deficiency_value, f_m, f_m2, f_one_plus_one
 from hoptree.graph_model import Instance
 from hoptree.instance_gen import random_instance
@@ -94,6 +96,41 @@ def test_deficiency_value_on_any_graph(walk):
 
 
 @st.composite
+def subgraphs(draw, max_n: int = 10):
+    """An instance with n <= max_n and an edge set over it."""
+    n = draw(st.integers(1, max_n))
+    inst = Instance(n, [1] * (n * (n + 1) // 2))
+    return inst, draw(st.integers(0, (1 << inst.m) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=subgraphs())
+def test_bfs_forest_matches_the_references(case):
+    inst, bits = case
+    parent, dist = bfs_forest(inst.n, adjacency(inst, EdgeSolution(bits, inst.m)))
+    assert dist == helpers.bfs_distances(inst, bits)
+    assert sum(1 for v, p in enumerate(parent) if p == v) == helpers.component_count(inst, bits)
+    # layers of a plain BFS from each component's first (lowest) vertex
+    nbr = helpers.neighbor_sets(inst, bits)
+    layer: dict[int, int] = {}
+    for first in range(inst.n + 1):
+        if first in layer:
+            continue
+        assert parent[first] == first
+        layer[first] = 0
+        queue = deque([first])
+        while queue:
+            u = queue.popleft()
+            for w in nbr[u]:
+                if w not in layer:
+                    layer[w] = layer[u] + 1
+                    queue.append(w)
+    for v, p in enumerate(parent):
+        if p != v:
+            assert p == min(u for u in nbr[v] if layer[u] == layer[v] - 1)
+
+
+@st.composite
 def child_sets(draw, max_n: int = 12):
     """An instance with n <= max_n and a nonempty child set over its vertices."""
     n = draw(st.integers(1, max_n))
@@ -110,7 +147,7 @@ def test_child_set_cost_matches_the_references(case):
     # every nonempty child set on the small instances, the drawn one on the others
     for bits in range(1, 1 << inst.n) if inst.n <= 6 else [drawn]:
         tree = HopTree(build_tree(inst, VertexSolution(bits, inst.n)))
-        assert child_set_cost(inst, bits) == _child_set_cost(inst, bits) == tree.cost(inst)
+        assert child_set_cost(inst, bits) == tree.cost(inst)
 
 
 _REFERENCE = {
