@@ -7,7 +7,8 @@ Subcommands:
   certify  check a tree against the local-improvement certificate
 
 Every subcommand exits 2 on bad input (a missing or malformed file, an
-out-of-range setting), printing one `error: ...` line.  `certify` exits 0
+out-of-range setting) or when an exact search runs out of nodes, printing
+one `error: ...` line.  `certify` exits 0
 when the tree is certified and 1 when an improving move refutes it.
 """
 
@@ -17,7 +18,7 @@ import argparse
 import sys
 
 from .graph_model import load_instance, save_instance
-from .edge_repr import solution_from_text
+from .edge_repr import DeficiencySearchBudget, solution_from_text
 from .vertex_repr import VertexSolution, build_tree
 from .certifier import HopTree, TreeError, certify_three_halves
 from .exact_oracle import optimum
@@ -146,7 +147,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # InstanceFormatError and TreeError included
+    except (OSError, ValueError, DeficiencySearchBudget) as exc:  # InstanceFormatError and TreeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

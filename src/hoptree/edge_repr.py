@@ -15,8 +15,10 @@ adjacency and its in-place flip update, the breadth-first forest
 metrics, the removable cycle edges and the certifier's parent maps),
 components with the root's component, the root's component alone grown
 out from its two-hop cover (`root_component`; it and `components` share
-one growth loop), the two-hop cover, the edge cost, and the deficiency
-tests (the cheap one-attachment test and the exact branch and bound).
+one growth loop), the two-hop cover, the edge cost, the deficiency tests
+(the cheap one-attachment test and the exact search), and the exact
+set-cover branch and bound (`min_cover`) behind that search and behind
+`exact_oracle.optimum`.
 """
 
 from __future__ import annotations
@@ -283,23 +285,6 @@ class DeficiencyClass(Enum):
     MANY = 2
 
 
-def _cover_candidates(n: int, adj: list[int], uncovered: int) -> list[int]:
-    cands = 0
-    t = uncovered
-    while t:
-        b = t & -t
-        v = b.bit_length() - 1
-        cands |= b | adj[v]
-        t ^= b
-    cands &= ~1  # the root is never an attachment target
-    out = []
-    while cands:
-        b = cands & -cands
-        out.append(b.bit_length() - 1)
-        cands ^= b
-    return out
-
-
 def cheap_deficiency_size(adj: list[int], root: int, cover: int) -> int | None:
     """The deficiency-set size when it is 0 or 1, else None.
 
@@ -322,63 +307,71 @@ def cheap_deficiency_size(adj: list[int], root: int, cover: int) -> int | None:
     return None
 
 
-def _greedy_cover_size(adj: list[int], uncovered: int, candidates: list[int]) -> int:
-    size = 0
-    while uncovered:
-        best_v, best_gain = -1, -1
-        for v in candidates:
-            gain = (((1 << v) | adj[v]) & uncovered).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        uncovered &= ~((1 << best_v) | adj[best_v])
-        size += 1
-    return size
+def min_cover(sets: list[int], universe: int, node_budget: int) -> int:
+    """Fewest of the bitmasks `sets` whose union contains `universe`.
+
+    Exact branch and bound: each node branches on the uncovered element
+    with the fewest sets left to cover it, trying those sets in turn and
+    dropping each tried one from its later siblings.  A greedy cover is the
+    first upper bound, and a node is pruned once the sets taken plus
+    ceil(|uncovered| / largest remaining set) reach the best cover found.
+    Sets inside another set are dropped first.  Raises
+    DeficiencySearchBudget once more than `node_budget` nodes are visited
+    (the root counts), and ValueError when `sets` cannot cover `universe`.
+    """
+    if not universe:
+        return 0
+    pool = sorted({s & universe for s in sets} - {0}, key=lambda s: (-s.bit_count(), s))
+    sets = [s for i, s in enumerate(pool) if all(s & ~t for t in pool[:i])]
+    elements = [1 << e for e in range(universe.bit_length()) if universe >> e & 1]
+    holders = {b: sum(1 << i for i, s in enumerate(sets) if s & b) for b in elements}
+    if not all(holders.values()):
+        raise ValueError("the sets do not cover the universe")
+    best = 0
+    left = universe
+    while left:
+        left &= ~max(sets, key=lambda s: (s & left).bit_count())
+        best += 1
+    nodes = 0
+
+    def descend(uncovered: int, live: int, taken: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise DeficiencySearchBudget(f"exceeded {node_budget} search nodes")
+        if not uncovered:
+            best = taken
+            return
+        # every uncovered element keeps a live holder: one held only by tried
+        # siblings would have had fewer holders than the element branched on
+        largest = max((s & uncovered).bit_count() for i, s in enumerate(sets) if live >> i & 1)
+        if taken + -(-uncovered.bit_count() // largest) >= best:
+            return
+        options = min((holders[b] & live for b in elements if uncovered & b), key=int.bit_count)
+        while options:
+            b = options & -options
+            options ^= b
+            descend(uncovered & ~sets[b.bit_length() - 1], live, taken + 1)
+            live ^= b
+            if taken + 1 >= best:
+                return
+
+    descend(universe, (1 << len(sets)) - 1, 0)
+    return best
 
 
 def deficiency_set_size(inst: Instance, x: EdgeSolution, node_budget: int = 1_000_000) -> int:
     """Minimum number of direct root attachments that clear N_{n>=d>2}.
 
     Attaching vertex v to the root fixes v and every neighbour of v, so this
-    is an exact minimum cover of U = {u : n >= dist(u) > 2} by closed
-    neighbourhoods, solved by branch and bound: branch on the lowest-index
-    uncovered vertex, try each of its closed neighbours, prune with a greedy
-    upper bound and the |U|/(1+max degree) lower bound.  Raises
+    is the minimum cover (`min_cover`) of U = {u : n >= dist(u) > 2} by the
+    closed neighbourhoods N[v] ∩ U of the non-root vertices.  Raises
     DeficiencySearchBudget after `node_budget` search nodes.
     """
     adj = adjacency(inst, x)
-    n = inst.n
     cover = two_hop_cover(adj)
     U = root_component(adj, cover) & ~cover
-    if U == 0:
-        return 0
-    candidates = _cover_candidates(n, adj, U)
-    max_deg = max(adj[v].bit_count() for v in candidates)
-    best = _greedy_cover_size(adj, U, candidates)
-    nodes = 0
-
-    def lower_bound(uncovered: int) -> int:
-        return -(-uncovered.bit_count() // (1 + max_deg))
-
-    def descend(uncovered: int, chosen: int):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise DeficiencySearchBudget(f"exceeded {node_budget} search nodes")
-        if uncovered == 0:
-            if chosen < best:
-                best = chosen
-            return
-        if chosen + lower_bound(uncovered) >= best:
-            return
-        u = (uncovered & -uncovered).bit_length() - 1
-        options = ((1 << u) | adj[u]) & ~1
-        while options:
-            b = options & -options
-            v = b.bit_length() - 1
-            descend(uncovered & ~((1 << v) | adj[v]), chosen + 1)
-            options ^= b
-    descend(U, 0)
-    return best
+    return min_cover([(adj[v] | 1 << v) & U for v in range(1, inst.n + 1)], U, node_budget)
 
 
 def single_attachment_fixes(inst: Instance, x: EdgeSolution) -> tuple[int, ...]:

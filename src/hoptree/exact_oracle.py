@@ -1,85 +1,79 @@
-"""Exhaustive ground-truth oracles, for tests and small-instance experiments.
+"""Exact optimum and brute-force ground-truth oracles.
 
-Everything here trades speed for independence: the optimum prices every
-child set once, in vectorized chunks, distances come from boolean matrix
-powers rather than the breadth-first forest used by the solution metrics,
-and the deficiency oracle tries attachment sets literally by adding root
-edges.  Each refuses inputs above its enumeration bound instead of
-guessing.
+The optimum is solved as a cover: every root-weight-1 vertex may join the
+child set for free, and each further child, or each vertex left with no
+weight-1 edge into the child set, adds 1 to n.  So the least cost is n plus
+the fewest closed weight-1 neighbourhoods that cover the vertices the free
+children leave bare, found by `edge_repr.min_cover`.  The other oracles
+trade speed for independence: distances come from boolean matrix powers
+rather than the breadth-first forest used by the solution metrics, and the
+deficiency oracle tries attachment sets literally by adding root edges.
+Each refuses inputs above its bound instead of guessing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import combinations
 
 import numpy as np
 
 from .graph_model import Instance
-from .edge_repr import EdgeSolution, EdgeMetrics
+from .edge_repr import EdgeSolution, EdgeMetrics, min_cover
 
-OPTIMUM_MAX_N = 24
+OPTIMUM_MAX_N = 64
 BRUTE_VD_MAX_N = 14
 
-_CHUNK = 1 << 18
+_NODE_BUDGET = 20_000_000  # per cover; 220 random n = 64 instances took at most 0.1M in all
 
 
-def _chunk_picks(inst: Instance) -> Iterator[tuple[int, int]]:
-    """(cost, child set) per chunk: the least tree cost over the chunk's child
-    sets, and the lex-least child set at that cost.
+def _least_cost(n: int, n1: list[int], r1: int, forced_in: int, forced_out: int) -> int:
+    """Least tree cost over the child sets C with forced_in ⊆ C and no vertex
+    of forced_out (vertex bitmasks).
 
-    Child sets are encoded as integers with bit v-1 for vertex v; the
-    nonempty ones are swept once, in vectorized chunks of `_CHUNK`.
+    Some such C holds every root-weight-1 vertex r1 not forced out, since
+    adding one never costs more.  Past those and forced_in, each child costs
+    1, and so does each vertex with no weight-1 edge into C; the bare
+    vertices E are covered by N1[w] for a free w, or by themselves when
+    forced out.
     """
-    n = inst.n
-    w0 = np.array(inst.root_weights, dtype=np.int64)
-    n1 = [inst.n1_mask(v) >> 1 for v in range(n + 1)]  # shifted to child-set encoding
-    total = 1 << n
-    for lo in range(1, total, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        costs = np.zeros(masks.shape, dtype=np.int64)
-        for v in range(1, n + 1):
-            member = (masks >> (v - 1)) & 1
-            covered = (masks & n1[v]) != 0
-            costs += member * w0[v] + (1 - member) * (2 - covered)
-        best = int(costs.min())
-        yield best, _lex_least(masks[costs == best], n)
-
-
-def _lex_least(masks: np.ndarray, n: int) -> int:
-    """The mask in `masks` whose sorted vertex tuple is least.
-
-    Takes each vertex, lowest first, that some remaining mask contains,
-    keeps only the masks containing it, and stops once the vertices taken
-    form one of the masks: that mask is a prefix of every other one left.
-    """
-    taken = 0
-    for v in range(1, n + 1):
-        bit = 1 << (v - 1)
-        with_v = masks[(masks & bit) != 0]
-        if with_v.size:
-            masks = with_v
-            taken |= bit
-            if (masks == taken).any():
-                break
-    return taken
+    base = forced_in | r1 & ~forced_out
+    reach = base
+    for w in range(1, n + 1):
+        if base >> w & 1:
+            reach |= n1[w]
+    bare = ((1 << n + 1) - 2) & ~reach
+    sets = [n1[w] | 1 << w for w in range(1, n + 1) if not (base | forced_out) >> w & 1]
+    sets += [1 << u for u in range(1, n + 1) if (bare & forced_out) >> u & 1]
+    return n + (forced_in & ~r1).bit_count() + min_cover(sets, bare, _NODE_BUDGET)
 
 
 def optimum(inst: Instance, max_n: int = OPTIMUM_MAX_N) -> tuple[int, frozenset[int]]:
     """Exact optimum cost and the lexicographically least optimal child set.
 
     Ties between optimal child sets break toward the set whose sorted vertex
-    tuple is smallest, e.g. {1} before {1,2} before {2}.  Every child set is
-    priced once; each chunk offers its lex-least cheapest set and the
-    lex-least of the cheapest offers wins.  Refuses n beyond `max_n` (2^n
-    enumeration).
+    tuple is smallest, e.g. {1} before {1,2} before {2}.  After the
+    unconstrained least cost, the set grows a vertex at a time: the next
+    vertex is the lowest one with which, and with every lower vertex not
+    taken left out, the least cost stays optimal, until the taken set costs
+    the optimum itself.  Refuses n beyond `max_n`; a cover search past its
+    node budget raises DeficiencySearchBudget.
     """
     if inst.n > max_n:
-        raise ValueError(f"optimum enumeration bound exceeded: n={inst.n} > {max_n}")
-    picks = list(_chunk_picks(inst))
-    best = min(cost for cost, _ in picks)
-    mask = _lex_least(np.array([m for cost, m in picks if cost == best], dtype=np.int64), inst.n)
-    return best, frozenset(v for v in range(1, inst.n + 1) if mask >> (v - 1) & 1)
+        raise ValueError(f"optimum bound exceeded: n={inst.n} > {max_n}")
+    n = inst.n
+    everyone = (1 << n + 1) - 2
+    n1 = [inst.n1_mask(v) & ~1 for v in range(n + 1)]
+    r1 = sum(1 << v for v in range(1, n + 1) if inst.root_weights[v] == 1)
+    best = _least_cost(n, n1, r1, 0, 0)
+    taken = skipped = 0
+    for v in range(1, n + 1):
+        if _least_cost(n, n1, r1, taken | 1 << v, skipped) != best:
+            skipped |= 1 << v
+            continue
+        taken |= 1 << v
+        if _least_cost(n, n1, r1, taken, everyone & ~taken) == best:
+            break
+    return best, frozenset(v for v in range(1, n + 1) if taken >> v & 1)
 
 
 # --- matrix-power distances --------------------------------------------------

@@ -62,7 +62,7 @@ class ExperimentConfig:
     on that one instance, whose n must equal `n` (`run_grid` rejects a
     mismatch, since n enters the config hash and so every run seed).
     Targets that need the exact optimum are rejected for n beyond the
-    oracle bound.
+    oracle bound `exact_oracle.OPTIMUM_MAX_N` (64).
     """
 
     algo: str

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_model import Instance
+from .graph_model import Instance, _row_offset
 from .edge_repr import EdgeSolution
 from .certifier import (
     HopTree,
@@ -67,7 +67,7 @@ def _all_two(n: int) -> list[int]:
 
 def _set_one(inst_weights: list[int], n: int, u: int, v: int) -> None:
     a, b = (u, v) if u < v else (v, u)
-    inst_weights[a * n - a * (a - 1) // 2 + (b - a - 1)] = 1
+    inst_weights[_row_offset(a, n) + (b - a - 1)] = 1
 
 
 def _star_parents(n: int) -> list[int]:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from hoptree import exact_oracle
 from hoptree.cli import main
+from hoptree.exact_oracle import OPTIMUM_MAX_N
 from hoptree.graph_model import Instance, load_instance, save_instance
 from hoptree.harness import read_csv
 from hoptree.instance_gen import plant_op1
@@ -103,13 +105,38 @@ def test_oracle_command(tmp_path, capsys, i3):
 
 
 def test_oracle_command_refuses_large_instances(tmp_path, capsys):
-    n = 25
+    n = OPTIMUM_MAX_N + 1
     path = tmp_path / "big.txt"
     save_instance(Instance(n, [1] * (n * (n + 1) // 2)), path)
     rc = main(["oracle", "--instance", str(path)])
     captured = capsys.readouterr()
     assert rc == 2
     assert "error:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["oracle", "run"])
+def test_an_exhausted_cover_search_exits_two(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "sparse.txt"
+    assert main(["gen", "--n", "12", "--p1", "0.1", "--seed", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(exact_oracle, "_NODE_BUDGET", 0)
+    argv = {
+        "oracle": ["oracle", "--instance", str(path)],
+        "run": ["run", "--algo", "ea-vertex", "--instance", str(path), "--n", "12", "--target", "opt"],
+    }[command]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: exceeded 0 search nodes\n" and captured.out == ""
+
+
+def test_run_to_the_optimum_at_n64(tmp_path, capsys):
+    out = tmp_path / "n64.csv"
+    argv = ["run", "--algo", "ea-vertex", "--n", "64", "--target", "opt", "--budget", "1000", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (record,) = read_csv(out)
+    assert 64 <= record.opt_cost <= record.final_cost
 
 
 def test_certify_command_accepts_a_certified_tree(tmp_path, capsys, i3):
@@ -151,7 +178,7 @@ def test_certify_command_rejects_bad_solutions(tmp_path, capsys, i3, solution):
         ["certify", "--instance", "{missing}", "--solution", "v:3:1"],
         ["oracle", "--instance", "{truncated}"],
         ["oracle", "--instance", "{missing}"],
-        ["run", "--algo", "ea-edge", "--n", "30", "--target", "opt"],
+        ["run", "--algo", "ea-edge", "--n", str(OPTIMUM_MAX_N + 1), "--target", "opt"],
     ],
 )
 def test_bad_input_exits_two_without_a_traceback(tmp_path, capsys, argv):

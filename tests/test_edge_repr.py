@@ -18,6 +18,7 @@ from hoptree.edge_repr import (
     flip_mask,
     is_feasible,
     metrics,
+    min_cover,
     removable_cycle_edges,
     single_attachment_fixes,
     solution_from_text,
@@ -216,6 +217,27 @@ def test_deficiency_search_budget(i3):
     # nothing connected lies deeper than two hops: no search is needed
     assert deficiency_set_size(i3, star_solution(i3), node_budget=0) == 0
     assert deficiency_set_size(i3, EdgeSolution(0, i3.m), node_budget=0) == 0
+
+
+@given(
+    st.lists(st.integers(0, (1 << 10) - 1), max_size=9),
+    st.integers(0, (1 << 10) - 1),
+)
+def test_min_cover_matches_brute_force(sets, mask):
+    union = 0
+    for s in sets:
+        union |= s
+    universe = union & mask
+    assert min_cover(sets, universe, 1_000_000) == helpers.brute_min_cover(sets, universe)
+
+
+def test_min_cover_edges():
+    assert min_cover([], 0, 0) == 0  # nothing to cover takes no node
+    assert min_cover([0b011, 0b110, 0b100], 0b111, 10) == 2
+    with pytest.raises(ValueError):
+        min_cover([0b011], 0b111, 10)
+    with pytest.raises(DeficiencySearchBudget):
+        min_cover([0b011, 0b110], 0b111, 0)
 
 
 def test_deficiency_class_agrees_with_size_when_connected():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import helpers
 from helpers import all_ones, all_twos
@@ -44,11 +45,73 @@ def test_optimum_matches_exhaustive_enumeration():
         assert children == ref_children
 
 
+def _weight_one(n: int, pairs) -> Instance:
+    """All-twos instance on n vertices with weight 1 on `pairs`."""
+    return Instance(n, [1 if pair in pairs else 2 for pair in all_twos(n).pairs])
+
+
+# {1} costs 2 + 1 + 1 = 4 like {1, 3} and {3}, so the lex-least optimum
+# leaves out vertex 3 although its root edge has weight 1
+_SKIPS_ROOT_ONE = _weight_one(3, {(0, 3), (1, 2), (1, 3)})
+
+
+def test_optimum_may_leave_out_a_root_weight_one_vertex():
+    assert optimum(_SKIPS_ROOT_ONE) == (4, frozenset({1}))
+    assert helpers.sweep_optimum(_SKIPS_ROOT_ONE) == (4, frozenset({1}))
+
+
+@given(st.integers(1, 16), st.floats(0, 1), st.integers(0, 1 << 30))
+@example(4, 0.0, 0)
+@example(16, 1.0, 0)
+@example(16, 0.9, 3)
+def test_optimum_matches_the_sweep(n, p1, seed):
+    inst = random_instance(n, p1, seed)
+    assert optimum(inst) == helpers.sweep_optimum(inst)
+
+
+def test_optimum_matches_the_sweep_on_skipped_root_one_vertices():
+    # dense instances: many root-weight-1 vertices tie, and the lex-least
+    # optimum keeps only a prefix of them
+    rng = np.random.default_rng(23)
+    skipped = 0
+    for _ in range(30):
+        inst = random_instance(int(rng.integers(4, 13)), float(rng.uniform(0.6, 1)), int(rng.integers(1 << 30)))
+        cost, children = optimum(inst)
+        assert (cost, children) == helpers.sweep_optimum(inst)
+        r1 = {v for v in range(1, inst.n + 1) if inst.root_weights[v] == 1}
+        skipped += not r1 <= children
+    assert skipped >= 10
+
+
+# (n, p1) -> (cost, lex-least child set) of random_instance(n, p1, seed=n),
+# as helpers.sweep_optimum prices them (n = 24 takes it about 6 s)
+_PINNED = {
+    (20, 0.05): (34, {1, 2, 4, 5, 7, 9, 10, 11, 12, 13, 14, 15, 17, 18}),
+    (20, 0.15): (25, {1, 2, 3, 4, 6, 7, 10, 13, 14, 15}),
+    (22, 0.05): (35, {2, 3, 4, 6, 7, 8, 10, 11, 13, 14, 16, 19, 21}),
+    (22, 0.15): (25, {1, 3, 6, 9, 12, 16, 18}),
+    (24, 0.05): (37, {1, 2, 4, 5, 8, 9, 10, 13, 14, 15, 16, 17, 18, 19, 23}),
+    (24, 0.15): (28, {6, 8, 14, 15, 16, 17, 19}),
+}
+
+
+@pytest.mark.parametrize("n, p1", sorted(_PINNED))
+def test_optimum_pinned_sweep_values(n, p1):
+    cost, children = _PINNED[n, p1]
+    assert optimum(random_instance(n, p1, n)) == (cost, frozenset(children))
+
+
+def test_optimum_matches_the_sweep_at_n20():
+    for p1 in (0.05, 0.15):
+        inst = random_instance(20, p1, 20)
+        assert optimum(inst) == helpers.sweep_optimum(inst)
+
+
 def test_optimum_refuses_large_instances():
     inst = all_ones(6)
     with pytest.raises(ValueError):
         optimum(inst, max_n=5)
-    assert OPTIMUM_MAX_N == 24
+    assert OPTIMUM_MAX_N == 64
 
 
 def test_brute_metrics_reference_cases(i3):

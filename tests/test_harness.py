@@ -6,6 +6,7 @@ import math
 import pytest
 
 from hoptree import harness
+from hoptree.exact_oracle import OPTIMUM_MAX_N
 from hoptree.graph_model import Instance, save_instance
 from hoptree.harness import (
     CSV_COLUMNS,
@@ -51,7 +52,7 @@ def test_config_accepts_reasonable_values():
         {"budget": 0},
         {"budget": 100_000_001},
         {"targets": ("fast",)},
-        {"targets": ("ratio32",), "n": 25},
+        {"targets": ("ratio32",), "n": OPTIMUM_MAX_N + 1},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -60,7 +61,7 @@ def test_config_rejects_bad_values(overrides):
 
 
 def test_oracle_targets_allowed_up_to_the_bound():
-    make_config(targets=("ratio32", "opt"), n=24)
+    make_config(targets=("ratio32", "opt"), n=OPTIMUM_MAX_N)
 
 
 # --- hashing and seed derivation ---------------------------------------------------
@@ -133,7 +134,7 @@ def test_run_grid_on_a_fixed_instance_file(tmp_path, i3):
 
 
 def test_run_grid_rejects_oversized_instance_files(tmp_path):
-    n = 25
+    n = OPTIMUM_MAX_N + 1
     big = Instance(n, [1] * (n * (n + 1) // 2))
     path = tmp_path / "big.txt"
     save_instance(big, path)

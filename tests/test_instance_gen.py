@@ -2,6 +2,8 @@
 
 import pytest
 
+from hoptree import instance_gen
+
 from hoptree.certifier import apply_move_edges, apply_move_tree
 from hoptree.edge_repr import DeficiencyClass, cost as edge_cost, deficiency_class, metrics
 from hoptree.exact_oracle import optimum
@@ -148,6 +150,19 @@ def test_cluster_plant_reference_case():
     assert planted.optimum_cost == 14
     assert planted.tree.cost(planted.instance) == 14
     assert optimum(planted.instance)[0] == 14
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_cluster_plant_self_check_solves_the_optimum(n, monkeypatch):
+    solved = []
+
+    def spy(inst):
+        solved.append(optimum(inst))
+        return solved[-1]
+
+    monkeypatch.setattr(instance_gen, "optimum", spy)
+    planted = plant_cluster(n, seed=n)
+    assert [cost for cost, _ in solved] == [n + len(planted.hubs)] == [planted.optimum_cost]
 
 
 def test_cluster_plant_default_hub_count():
