@@ -8,8 +8,8 @@ Subcommands:
 
 Every subcommand exits 2 on bad input (a missing or malformed file, an
 out-of-range setting) or when an exact search runs out of nodes, printing
-one `error: ...` line.  `certify` exits 0
-when the tree is certified and 1 when an improving move refutes it.
+one `error: ...` line.  `certify` exits 0 when the tree is certified and 1
+when an improving move refutes it.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from helpers import all_ones, all_twos
@@ -219,6 +219,7 @@ def test_deficiency_search_budget(i3):
     assert deficiency_set_size(i3, EdgeSolution(0, i3.m), node_budget=0) == 0
 
 
+@settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.integers(0, (1 << 10) - 1), max_size=9),
     st.integers(0, (1 << 10) - 1),

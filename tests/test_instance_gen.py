@@ -3,7 +3,6 @@
 import pytest
 
 from hoptree import instance_gen
-
 from hoptree.certifier import apply_move_edges, apply_move_tree
 from hoptree.edge_repr import DeficiencyClass, cost as edge_cost, deficiency_class, metrics
 from hoptree.exact_oracle import optimum
