@@ -11,11 +11,13 @@ improvement (leaving exactly one deficient attachment), 7 repairs it.
 The detectors work on role masks (`Roles`, bit v for vertex v) built once
 per tree in O(n): root children K, grandchildren G, root children with a
 child H, vertices whose parent edge (P2) or root edge (R2) weighs 2, and the
-weight-2-attached leaves L2 = (G | K & ~H) & P2.  Each scan walks one
-candidate mask in ascending order and tests the candidate's weight-1
-neighbourhood `n1_mask(v)` against a target mask at once, so it reports the
-same first match in ascending index order as a loop over candidate tuples.
-Moves are applied to the parent map directly.
+weight-2-attached leaves L2 = (G | K & ~H) & P2.  Each scan asks for the
+lowest candidate with enough weight-1 neighbours in a target mask (`_first`)
+and reports the same first match as a loop over candidate tuples.  Since
+`n1_mask` is symmetric, it ORs the targets' neighbourhoods when they are
+the fewer, and else tests the candidates one by one.  The improvement loop
+edits one draft tree (`_Draft`): each move re-hangs one to three vertices,
+so only their role bits change, and the final tree is validated once.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ class HopTree:
     def n(self) -> int:
         return len(self.parent) - 1
 
-    def depth(self, v: int) -> int:
-        if v == 0:
-            return 0
-        return 1 if self.parent[v] == 0 else 2
-
     def cost(self, inst: Instance) -> int:
         return sum(inst.weight(self.parent[v], v) for v in range(1, self.n + 1))
 
@@ -84,36 +81,6 @@ class HopTree:
             raise TreeError("edge solution is not a two-hop spanning tree")
         parent, _ = bfs_forest(inst.n, adjacency(inst, x))
         return cls(tuple(parent))
-
-
-@dataclass(frozen=True)
-class VertexPartition:
-    """Vertices split by depth and parent-edge weight.
-
-    v11/v12: root children with weight-1/weight-2 root edges; v21/v22:
-    grandchildren with weight-1/weight-2 parent edges.  The tree cost obeys
-    c = n + |v12| + |v22|.
-    """
-
-    v11: frozenset[int]
-    v12: frozenset[int]
-    v21: frozenset[int]
-    v22: frozenset[int]
-
-    def identity_cost(self, n: int) -> int:
-        return n + len(self.v12) + len(self.v22)
-
-
-def partition(inst: Instance, t: HopTree) -> VertexPartition:
-    v11, v12, v21, v22 = set(), set(), set(), set()
-    for v in range(1, t.n + 1):
-        p = t.parent[v]
-        w = inst.weight(p, v)
-        if p == 0:
-            (v11 if w == 1 else v12).add(v)
-        else:
-            (v21 if w == 1 else v22).add(v)
-    return VertexPartition(frozenset(v11), frozenset(v12), frozenset(v21), frozenset(v22))
 
 
 @dataclass(frozen=True)
@@ -203,21 +170,67 @@ class Roles(NamedTuple):
 
 def roles(inst: Instance, t: HopTree) -> Roles:
     """The role masks of t, from its parent map and the weight-1 neighbourhoods."""
-    n1 = inst.n1_mask
-    below: dict[int, int] = {}  # root child -> mask of its children
-    for v, p in enumerate(t.parent):
-        if p:
-            below[p] = below.get(p, 0) | 1 << v
-    gkids = parents = p2 = 0
-    for h, c in below.items():
-        gkids |= c
-        parents |= 1 << h
-        p2 |= c & ~n1(h)
-    everyone = (1 << (t.n + 1)) - 2
-    kids = everyone & ~gkids
-    r2 = everyone & ~n1(0)
-    p2 |= kids & r2
-    return Roles(kids, gkids, parents, p2, r2, p2 & ~parents)
+    return _Draft(inst, t).roles
+
+
+class _Draft:
+    """A two-hop tree under edit: its parent map, its role masks and each root
+    child's children (`below[h]`, a vertex mask), kept in step move by move.
+
+    The scans read a tree only through `.parent` and its roles, so they run
+    on a draft as on a `HopTree`.
+    """
+
+    __slots__ = ("parent", "roles", "below")
+
+    def __init__(self, inst: Instance, t: HopTree):
+        n1 = inst.n1_mask
+        self.parent = list(t.parent)
+        self.below = below = [0] * len(t.parent)
+        for v, p in enumerate(t.parent):
+            if p:
+                below[p] |= 1 << v
+        gkids = parents = p2 = 0
+        for h, c in enumerate(below):
+            if c:
+                gkids |= c
+                parents |= 1 << h
+                p2 |= c & ~n1(h)
+        everyone = (1 << (t.n + 1)) - 2
+        kids = everyone & ~gkids
+        r2 = everyone & ~n1(0)
+        p2 |= kids & r2
+        self.roles = Roles(kids, gkids, parents, p2, r2, p2 & ~parents)
+
+    def apply(self, inst: Instance, move: Move) -> None:
+        """Apply a move of operations 1-5: removed[i] is the parent edge of
+        the vertex that added[i] re-hangs, and each new parent is the root or
+        a root child by the time its child arrives.  Only the re-hung
+        vertices and their old and new parents change role bits.  Raises
+        TreeError when a re-hang would leave two hops (operation 6 does)."""
+        parent, below, n1 = self.parent, self.below, inst.n1_mask
+        kids, gkids, parents, p2, r2, _ = self.roles
+        everyone = kids | gkids
+        freed = [w if parent[w] == u else u for u, w in move.removed]
+        for v, (a, b) in zip(freed, move.added):
+            up = b if a == v else a
+            bit = 1 << v
+            old = parent[v]
+            if old:
+                below[old] ^= bit
+                if not below[old]:
+                    parents ^= 1 << old
+            if up:
+                if parent[up] or up == v or below[v]:
+                    raise TreeError(f"move {move.describe()} puts vertex {v} deeper than two hops")
+                below[up] |= bit
+                parents |= 1 << up
+                gkids |= bit
+            else:
+                gkids &= ~bit
+            p2 = p2 & ~bit | bit & ~n1(up)  # for up = 0 that is v's bit of R2
+            parent[v] = up
+        self.roles = Roles(everyone & ~gkids, gkids, parents, p2, r2, p2 & ~parents)
 
 
 def _low(mask: int) -> int:
@@ -226,8 +239,24 @@ def _low(mask: int) -> int:
 
 def _first(inst: Instance, candidates: int, targets: int, need: int = 1) -> tuple[int, int]:
     """(v, hits): the lowest candidate v with at least `need` (1 or 2) weight-1
-    neighbours in `targets`, and that neighbour mask; (0, 0) if there is none."""
+    neighbours in `targets`, and that neighbour mask; (0, 0) if there is none.
+    With fewer targets, the matches are the candidates that the targets'
+    neighbourhoods cover once (need 1) or twice (need 2)."""
     n1 = inst.n1_mask
+    if targets.bit_count() < candidates.bit_count():
+        once = twice = 0
+        t = targets
+        while t:
+            b = t & -t
+            t ^= b
+            s = n1(b.bit_length() - 1)
+            twice |= once & s
+            once |= s
+        candidates &= once if need == 1 else twice
+        if not candidates:
+            return 0, 0
+        v = _low(candidates)
+        return v, n1(v) & targets
     while candidates:
         v = _low(candidates)
         hits = n1(v) & targets
@@ -346,23 +375,28 @@ class CertificateResult:
 _OP_SCANS = (find_op1, find_op2, find_op3, find_op4, find_op5)
 
 
-def certify_three_halves(inst: Instance, t: HopTree) -> CertificateResult:
-    """Certify that none of operations 1-5 applies; such trees cost <= 3/2 optimum."""
-    r = roles(inst, t)
+def _refute(inst: Instance, t, r: Roles) -> Move | None:
+    """The first move of operations 1-5 that applies to t, or None."""
     for scan in _OP_SCANS:
         move = scan(inst, t, r)
         if move is not None:
-            return CertificateResult(False, move)
-    return CertificateResult(True, None)
+            return move
+    return None
+
+
+def certify_three_halves(inst: Instance, t: HopTree) -> CertificateResult:
+    """Certify that none of operations 1-5 applies; such trees cost <= 3/2 optimum."""
+    move = _refute(inst, t, roles(inst, t))
+    return CertificateResult(move is None, move)
 
 
 def improve_until_certified(inst: Instance, t: HopTree) -> tuple[HopTree, list[Move]]:
     """Apply refuting moves until the certificate holds.  Each move cuts the
-    cost by 1 and cost is bounded below, so this terminates."""
+    cost by 1 and cost is bounded below, so this terminates.  The moves edit
+    one draft in place (`_Draft.apply`); the result is validated once."""
+    draft = _Draft(inst, t)
     applied: list[Move] = []
-    while True:
-        result = certify_three_halves(inst, t)
-        if result.certified:
-            return t, applied
-        t = apply_move_tree(inst, t, result.move)
-        applied.append(result.move)
+    while (move := _refute(inst, draft, draft.roles)) is not None:
+        draft.apply(inst, move)
+        applied.append(move)
+    return HopTree(tuple(draft.parent)), applied

@@ -375,15 +375,24 @@ def deficiency_set_size(inst: Instance, x: EdgeSolution, node_budget: int = 1_00
 
 
 def single_attachment_fixes(inst: Instance, x: EdgeSolution) -> tuple[int, ...]:
-    """All v not already adjacent to the root whose attachment clears N_{n>=d>2}."""
+    """All v not already adjacent to the root whose attachment clears N_{n>=d>2}.
+
+    Attaching v joins v's component to the root's and brings exactly v and
+    its neighbours within two hops, so v fixes x iff the deep vertices of
+    the root's component, and v's component when it is another one, lie in
+    v's closed neighbourhood: the test of `cheap_deficiency_size`.
+    """
     adj = adjacency(inst, x)
-    n = inst.n
+    cover = two_hop_cover(adj)
+    root = root_component(adj, cover)
+    deep = root & ~cover
     out = []
-    for v in range(1, n + 1):
-        if adj[0] >> v & 1:
+    for v in range(1, inst.n + 1):
+        b = 1 << v
+        if adj[0] & b:
             continue
-        probe = EdgeSolution(x.bits | (1 << inst.edge_index(0, v)), x.m)
-        if metrics(inst, probe).n_mid == 0:
+        need = deep if root & b else deep | _grow(adj, b, b)
+        if need & ~(adj[v] | b) == 0:
             out.append(v)
     return tuple(out)
 

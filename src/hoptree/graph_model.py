@@ -13,6 +13,7 @@ package; vertex masks use bit v for vertex v.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -23,6 +24,17 @@ class InstanceFormatError(ValueError):
 def _row_offset(u: int, n: int) -> int:
     # number of edges (a,b) with a < u
     return u * n - (u * (u - 1)) // 2
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The endpoint pairs in edge-index order, shared by the instances of one n."""
+    return tuple(itertools.combinations(range(n + 1), 2))
+
+
+_ONES = bytes.maketrans(b"\x01\x02", b"10")  # weight byte -> b"1" for a weight-1 edge
+_DIGITS = frozenset("12")
+_WEIGHT_BYTES = bytes.maketrans(b"12", b"\x01\x02")
 
 
 class Instance:
@@ -39,24 +51,29 @@ class Instance:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         m = n * (n + 1) // 2
-        w = tuple(int(x) for x in weights)
+        w = tuple(map(int, weights))
         if len(w) != m:
             raise ValueError(f"expected {m} weights for n={n}, got {len(w)}")
-        if any(x not in (1, 2) for x in w):
+        if not set(w) <= {1, 2}:
             raise ValueError("edge weights must be 1 or 2")
         self.n = n
         self.m = m
         self._w = w
-        self.pairs = pairs = tuple(itertools.combinations(range(n + 1), 2))
-        # one bit string, last edge first, so that bit i is edge i
-        self.w2_mask = int("".join("1" if x == 2 else "0" for x in reversed(w)), 2)
-        n1 = [0] * (n + 1)
-        for (u, v), wi in zip(pairs, w):
-            if wi == 1:
-                n1[u] |= 1 << v
-                n1[v] |= 1 << u
-        self._n1_masks = tuple(n1)
-        self.root_weights = (0,) + tuple(w[:n])  # root_weights[v] = W(0, v)
+        self.pairs = _pairs(n)
+        # one digit per edge, b"1" for weight 1; reversed, int(..., 2) has bit i for edge i
+        ones = bytes(w).translate(_ONES)
+        self.w2_mask = int(ones[::-1], 2) ^ ((1 << m) - 1)
+        # the weight-1 adjacency matrix as digits: row u of the triangle fills
+        # row u right of the diagonal and, as a strided slice, column u below it
+        size = n + 1
+        grid = bytearray(b"0") * (size * size)
+        for u in range(n):
+            row = ones[_row_offset(u, n) : _row_offset(u + 1, n)]
+            grid[u * size + u + 1 : (u + 1) * size] = row
+            grid[(u + 1) * size + u :: size] = row
+        grid.reverse()  # row v read as one base-2 number is n1_mask(v)
+        self._n1_masks = tuple(int(grid[k * size : (k + 1) * size], 2) for k in reversed(range(size)))
+        self.root_weights = (0,) + w[:n]  # root_weights[v] = W(0, v)
 
     def edge_index(self, u: int, v: int) -> int:
         if u == v:
@@ -67,19 +84,12 @@ class Instance:
             raise ValueError(f"vertex pair ({u},{v}) out of range for n={self.n}")
         return _row_offset(u, self.n) + (v - u - 1)
 
-    def pair(self, i: int) -> tuple[int, int]:
-        return self.pairs[i]
-
     def weight(self, u: int, v: int) -> int:
         return self._w[self.edge_index(u, v)]
 
     def n1_mask(self, v: int) -> int:
         """Vertex bitmask of v's weight-1 neighbours (may include the root bit)."""
         return self._n1_masks[v]
-
-    def n1_neighbors(self, v: int) -> frozenset[int]:
-        mask = self._n1_masks[v]
-        return frozenset(b for b in range(self.n + 1) if mask >> b & 1)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -128,10 +138,13 @@ class Instance:
                 if header < 1:
                     raise InstanceFormatError(f"line {lineno}: need n >= 1, got {header}")
                 continue
-            try:
-                row = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise InstanceFormatError(f"line {lineno}: non-integer weight in {raw!r}") from None
+            row = line.split()
+            digits = _DIGITS.issuperset(row)  # the common case: no int per token
+            if not digits:
+                try:
+                    values = [int(tok) for tok in row]
+                except ValueError:
+                    raise InstanceFormatError(f"line {lineno}: non-integer weight in {raw!r}") from None
             expected = header - len(rows)
             if expected <= 0:
                 raise InstanceFormatError(f"line {lineno}: more than {header} weight rows")
@@ -139,15 +152,16 @@ class Instance:
                 raise InstanceFormatError(
                     f"line {lineno}: expected {expected} weights, got {len(row)}"
                 )
-            if any(x not in (1, 2) for x in row):
-                raise InstanceFormatError(f"line {lineno}: weights must be 1 or 2")
-            rows.append(row)
+            if not digits:
+                if any(x not in (1, 2) for x in values):
+                    raise InstanceFormatError(f"line {lineno}: weights must be 1 or 2")
+                row = map(str, values)
+            rows.append("".join(row))
         if header is None:
             raise InstanceFormatError("line 1: empty instance text")
         if len(rows) != header:
             raise InstanceFormatError(f"expected {header} weight rows, got {len(rows)}")
-        flat = [x for row in rows for x in row]
-        return cls(header, flat)
+        return cls(header, "".join(rows).encode().translate(_WEIGHT_BYTES))
 
 
 def load_instance(path) -> Instance:

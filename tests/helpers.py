@@ -9,6 +9,7 @@ applies moves through ``apply_move_edges`` and ``HopTree.from_edge_solution``.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +25,26 @@ def all_ones(n: int) -> Instance:
 
 def all_twos(n: int) -> Instance:
     return Instance(n, [2] * (n * (n + 1) // 2))
+
+
+def instance_fields(n: int, weights) -> tuple:
+    """(weights, pairs, w2_mask, n1 masks, root_weights) of an instance,
+    built edge by edge as hoptree.graph_model did before it read the masks
+    from one digit string."""
+    w = tuple(int(x) for x in weights)
+    pairs = tuple(combinations(range(n + 1), 2))
+    w2_mask = int("".join("1" if x == 2 else "0" for x in reversed(w)), 2)
+    n1 = [0] * (n + 1)
+    for (u, v), wi in zip(pairs, w):
+        if wi == 1:
+            n1[u] |= 1 << v
+            n1[v] |= 1 << u
+    return w, pairs, w2_mask, tuple(n1), (0,) + w[:n]
+
+
+def n1_neighbors(inst: Instance, v: int) -> frozenset[int]:
+    mask = inst.n1_mask(v)
+    return frozenset(b for b in range(inst.n + 1) if mask >> b & 1)
 
 
 # --- plain-graph views of an edge bitmask ------------------------------------
@@ -109,6 +130,19 @@ def min_root_attachments(inst: Instance, bits: int) -> int:
             if mid_free(mask):
                 return size
     raise AssertionError("attaching every vertex always clears the middle band")
+
+
+def single_attachment_fixes(inst: Instance, bits: int) -> tuple[int, ...]:
+    """All v not already adjacent to the root whose attachment clears
+    2 < dist <= n, by one BFS per attached vertex (hoptree.edge_repr's
+    earlier test)."""
+    n = inst.n
+    out = []
+    for v in range(1, n + 1):
+        root_edge = 1 << inst.edge_index(0, v)
+        if not bits & root_edge and all(not 2 < d <= n for d in bfs_distances(inst, bits | root_edge)[1:]):
+            out.append(v)
+    return tuple(out)
 
 
 # --- exhaustive optimum -------------------------------------------------------
@@ -242,6 +276,42 @@ def children(t: HopTree, v: int) -> tuple[int, ...]:
 
 def has_child(t: HopTree, v: int) -> bool:
     return any(t.parent[u] == v for u in range(1, t.n + 1))
+
+
+def depth(t: HopTree, v: int) -> int:
+    if v == 0:
+        return 0
+    return 1 if t.parent[v] == 0 else 2
+
+
+@dataclass(frozen=True)
+class VertexPartition:
+    """Vertices split by depth and parent-edge weight.
+
+    v11/v12: root children with weight-1/weight-2 root edges; v21/v22:
+    grandchildren with weight-1/weight-2 parent edges.  The tree cost obeys
+    c = n + |v12| + |v22|.
+    """
+
+    v11: frozenset[int]
+    v12: frozenset[int]
+    v21: frozenset[int]
+    v22: frozenset[int]
+
+    def identity_cost(self, n: int) -> int:
+        return n + len(self.v12) + len(self.v22)
+
+
+def partition(inst: Instance, t: HopTree) -> VertexPartition:
+    v11, v12, v21, v22 = set(), set(), set(), set()
+    for v in range(1, t.n + 1):
+        p = t.parent[v]
+        w = inst.weight(p, v)
+        if p == 0:
+            (v11 if w == 1 else v12).add(v)
+        else:
+            (v21 if w == 1 else v22).add(v)
+    return VertexPartition(frozenset(v11), frozenset(v12), frozenset(v21), frozenset(v22))
 
 
 # --- exhaustive rewrite-applicability scans -----------------------------------

@@ -12,7 +12,8 @@ from hoptree.certifier import (
     Move,
     Roles,
     TreeError,
-    VertexPartition,
+    _Draft,
+    _first,
     apply_move_edges,
     apply_move_tree,
     certify_three_halves,
@@ -24,7 +25,6 @@ from hoptree.certifier import (
     find_op6,
     find_op7,
     improve_until_certified,
-    partition,
     roles,
 )
 from hoptree.edge_repr import (
@@ -70,7 +70,7 @@ def test_tree_accessors(i3):
     assert t.n == 3
     assert helpers.children_of_root(t) == (2,)
     assert helpers.grandchildren(t) == (1, 3)
-    assert (t.depth(0), t.depth(1), t.depth(2)) == (0, 2, 1)
+    assert (helpers.depth(t, 0), helpers.depth(t, 1), helpers.depth(t, 2)) == (0, 2, 1)
     assert helpers.children(t, 2) == (1, 3)
     assert helpers.has_child(t, 2) and not helpers.has_child(t, 1)
     assert t.cost(i3) == 4
@@ -98,14 +98,14 @@ def test_tree_edge_round_trip():
 
 
 def test_partition_reference_cases(i3):
-    star = partition(i3, HopTree((0, 0, 0, 0)))
-    assert star == VertexPartition(
+    star = helpers.partition(i3, HopTree((0, 0, 0, 0)))
+    assert star == helpers.VertexPartition(
         frozenset({1}), frozenset({2, 3}), frozenset(), frozenset()
     )
     assert star.identity_cost(3) == 5
 
-    hung = partition(i3, HopTree((0, 2, 0, 2)))
-    assert hung == VertexPartition(
+    hung = helpers.partition(i3, HopTree((0, 2, 0, 2)))
+    assert hung == helpers.VertexPartition(
         frozenset(), frozenset({2}), frozenset({1, 3}), frozenset()
     )
     assert hung.identity_cost(3) == 3 + 1 + 0 == 4
@@ -115,7 +115,7 @@ def test_partition_on_uniform_weights_has_no_weight_two_classes():
     inst = all_ones(4)
     rng = np.random.default_rng(47)
     for _ in range(10):
-        part = partition(inst, helpers.random_tree(inst, rng))
+        part = helpers.partition(inst, helpers.random_tree(inst, rng))
         assert part.v12 == frozenset() and part.v22 == frozenset()
 
 
@@ -125,7 +125,7 @@ def test_partition_identity_matches_cost():
         n = int(rng.integers(2, 9))
         inst = Instance(n, [int(w) for w in rng.integers(1, 3, size=n * (n + 1) // 2)])
         t = helpers.random_tree(inst, rng)
-        assert partition(inst, t).identity_cost(n) == t.cost(inst)
+        assert helpers.partition(inst, t).identity_cost(n) == t.cost(inst)
 
 
 # --- moves --------------------------------------------------------------------
@@ -392,11 +392,59 @@ def test_scans_return_the_reference_moves(case, gate):
     assert verdict == CertificateResult(expected is None, expected)
 
 
+@st.composite
+def instances_with_starts(draw, max_n: int = 48):
+    """A random instance at any p1 and a start tree: a messy random tree, or
+    the tree that a random child set decodes to."""
+    inst, t = draw(instances_with_trees(max_n))
+    if draw(st.booleans()):
+        t = HopTree(build_tree(inst, VertexSolution(draw(st.integers(1, 2**inst.n - 1)), inst.n)))
+    return inst, t
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=instances_with_trees())
+@given(case=instances_with_starts())
 def test_improvement_loop_matches_the_reference(case):
     inst, t = case
     assert improve_until_certified(inst, t) == helpers.improve_until_certified(inst, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=instances_with_starts())
+def test_draft_masks_follow_every_move(case):
+    """The loop's draft, edited move by move, keeps the roles and child masks
+    that a rebuild from its parent map gives."""
+    inst, t = case
+    draft = _Draft(inst, t)
+    for move in helpers.improve_until_certified(inst, t)[1]:
+        draft.apply(inst, move)
+        tree = HopTree(tuple(draft.parent))
+        assert draft.roles == roles(inst, tree)
+        assert draft.below == [0] + [sum(1 << v for v in helpers.children(tree, h)) for h in range(1, inst.n + 1)]
+    move = find_op6(inst, t)
+    if move is not None:  # it puts two leaves under a grandchild
+        with pytest.raises(TreeError):
+            _Draft(inst, t).apply(inst, move)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    p1=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    need=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_first_match_takes_either_side(n, p1, seed, need, data):
+    """The union over the targets (when they are fewer) and the walk over the
+    candidates both give the lowest candidate with `need` weight-1 hits."""
+    inst = random_instance(n, p1, seed)
+    vertices = st.integers(0, 2**n - 1).map(lambda x: x << 1)  # the root is never a candidate or target
+    candidates, targets = data.draw(vertices), data.draw(vertices)
+    hits = {v: inst.n1_mask(v) & targets for v in range(n + 1) if candidates >> v & 1}
+    matches = [v for v, h in hits.items() if h.bit_count() >= need]
+    expected = (matches[0], hits[matches[0]]) if matches else (0, 0)
+    assert _first(inst, candidates, targets, need) == expected
 
 
 @settings(max_examples=300, deadline=None)

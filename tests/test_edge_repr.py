@@ -190,6 +190,28 @@ def test_single_attachment_fixes_reference(i3):
     assert single_attachment_fixes(i3, star_solution(i3)) == ()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    near_tree=st.booleans(),
+)
+def test_single_attachment_fixes_match_one_bfs_per_vertex(n, p, seed, near_tree):
+    """Random subgraphs at any density, and two-hop trees with a few edges
+    flipped (the one-deficient shapes op 7 repairs)."""
+    rng = np.random.default_rng(seed)
+    m = n * (n + 1) // 2
+    inst = Instance(n, [int(w) for w in rng.integers(1, 3, size=m)])
+    if near_tree:
+        bits = helpers.random_tree(inst, rng).to_edge_solution(inst).bits
+        for i in rng.integers(0, m, size=int(rng.integers(0, 4))):
+            bits ^= 1 << int(i)
+    else:
+        bits = sum(1 << i for i in range(m) if rng.random() < p)
+    assert single_attachment_fixes(inst, EdgeSolution(bits, m)) == helpers.single_attachment_fixes(inst, bits)
+
+
 def long_path_instance(n: int) -> tuple[Instance, EdgeSolution]:
     inst = all_twos(n)
     bits = sum(1 << inst.edge_index(v, v + 1) for v in range(n))
@@ -285,7 +307,7 @@ def test_removable_edges_in_rootless_component():
     bits = sum(1 << inst.edge_index(u, v) for u, v in tri)
     picked = removable_cycle_edges(inst, EdgeSolution(bits, inst.m))
     assert len(picked) == 1
-    assert inst.pair(picked[0]) in tri
+    assert inst.pairs[picked[0]] in tri
 
 
 def test_removable_edges_requires_a_cycle(i3):

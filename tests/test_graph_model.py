@@ -1,8 +1,11 @@
 """Instance construction, edge indexing, and the text format."""
 
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import helpers
 from helpers import all_ones, all_twos
 from hoptree.graph_model import (
     Instance,
@@ -18,7 +21,7 @@ def test_edge_index_is_lexicographic():
     for u in range(6):
         for v in range(u + 1, 6):
             assert inst.edge_index(u, v) == i
-            assert inst.pair(i) == (u, v)
+            assert inst.pairs[i] == (u, v)
             i += 1
     assert i == inst.m == 15
     for n in range(1, 9):
@@ -61,15 +64,15 @@ def test_constant_instance_weights():
 
 
 def test_n1_neighbors(i3):
-    assert all_twos(4).n1_neighbors(1) == frozenset()
-    assert all_ones(3).n1_neighbors(0) == frozenset({1, 2, 3})
-    assert i3.n1_neighbors(1) == frozenset({0, 2})
+    assert helpers.n1_neighbors(all_twos(4), 1) == frozenset()
+    assert helpers.n1_neighbors(all_ones(3), 0) == frozenset({1, 2, 3})
+    assert helpers.n1_neighbors(i3, 1) == frozenset({0, 2})
 
 
 def test_n1_mask_matches_neighbor_set(i3):
     for v in range(4):
         mask = i3.n1_mask(v)
-        assert {b for b in range(4) if mask >> b & 1} == set(i3.n1_neighbors(v))
+        assert {b for b in range(4) if mask >> b & 1} == set(helpers.n1_neighbors(i3, v))
 
 
 def test_constructor_validation():
@@ -112,6 +115,38 @@ def test_text_round_trip(inst):
         assert (inst.n1_mask(u) >> v & 1) == (inst.n1_mask(v) >> u & 1) == (inst.weights[i] == 1)
     assert inst.w2_mask >> inst.m == 0
     assert all(not inst.n1_mask(v) >> v & 1 for v in range(inst.n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), p1=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_fields_match_the_edge_by_edge_construction(n, p1, seed):
+    draws = random.Random(seed).random
+    weights = [1 if draws() < p1 else 2 for _ in range(n * (n + 1) // 2)]
+    inst = Instance(n, weights)
+    fields = (inst.weights, inst.pairs, inst.w2_mask, tuple(map(inst.n1_mask, range(n + 1))), inst.root_weights)
+    assert fields == helpers.instance_fields(n, weights)
+    assert Instance.from_text(inst.to_text()) == inst
+
+
+@pytest.mark.parametrize(
+    "row, weights",
+    [("01 2", (1, 2)), ("+1 2", (1, 2)), ("2 +2", (2, 2)), ("1 1", (1, 1))],
+)
+def test_weight_tokens_that_int_accepts(row, weights):
+    assert Instance.from_text(f"n 2\n{row}\n1\n").weights == weights + (1,)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 2\n1 3\n1\n", "line 2: weights must be 1 or 2"),
+        ("n 2\n1 2\n\n# c\nx\n", "line 5: non-integer weight in 'x'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(InstanceFormatError) as info:
+        Instance.from_text(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
